@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ._version import __version__
-from .codes import make_code
+from .codes import BudgetError, make_code
 from .mi import mi_profile
 from .orders import kt_order, mgz_order, ram_test, universal_markov_order
 from .sequence import ingest
@@ -207,6 +207,9 @@ def _parse_ram(text: str):
 
 def _cmd_profile(args) -> int:
     seed = _resolve_seed(args.seed)
+    blocks = _parse_int_list(args.blocks) if args.blocks else []
+    if any(b < 1 for b in blocks):
+        raise ConfigError(f"--blocks sizes must be >= 1, got {args.blocks!r}")
     data = Path(args.file).read_bytes()
     alphabet = None
     if args.alphabet:
@@ -219,7 +222,6 @@ def _cmd_profile(args) -> int:
         raise ConfigError("cannot profile an empty sequence")
     kmax = min(args.kmax, len(x) - 1)
     profile = build_index(x).profile(kmax)
-    blocks = _parse_int_list(args.blocks) if args.blocks else []
     config = {
         "command": "profile",
         "backend": args.backend,
@@ -355,13 +357,26 @@ def _cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", choices=["ppm", "lz78"], default="ppm")
     p.add_argument("--ppm-exact", action="store_true",
                    help="evaluate the full PPM mixture instead of the capped head")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed; the MOL_SEED env var applies when absent")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--out", default=None)
 
@@ -374,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--mode", choices=["bytes", "tokens"], default="bytes")
     p.add_argument("--alphabet", default=None, help="JSON token list (explicit mode)")
-    p.add_argument("--kmax", type=int, default=None, help="PPM mixture head cutoff")
+    p.add_argument("--kmax", type=_int_at_least(0), default=None,
+                   help="PPM mixture head cutoff")
     p.add_argument("--kt", action="store_true", help="also report the KT order")
     p.add_argument("--mgz", type=float, default=None, metavar="LAMBDA")
     p.add_argument("--ram", default=None, metavar="M:ALPHA")
@@ -385,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--mode", choices=["bytes", "tokens"], default="bytes")
     p.add_argument("--alphabet", default=None)
-    p.add_argument("--kmax", type=int, default=8)
+    p.add_argument("--kmax", type=_int_at_least(0), default=8)
     p.add_argument("--blocks", default=None, help="comma list of split sizes n (uses x_1^{2n})")
     _add_common(p)
     p.set_defaults(func=_cmd_profile, format="csv")
@@ -426,7 +442,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, BudgetError) as exc:
         sys.stderr.write(f"mol: invalid config: {exc}\n")
         return 3
     except (OSError, json.JSONDecodeError) as exc:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln, polygamma
 
 from .sequence import Sequence, uniform_alphabet
-from .stats import FrequencyIndex, build_index, prior_occurrence_counts
+from .stats import build_index
 
 LOG2E = 1.0 / math.log(2.0)
 LOG2_PI2_OVER_6 = math.log2(math.pi**2 / 6.0)
@@ -35,61 +35,6 @@ def _lg_factorial(m) -> np.ndarray:
 def _zeta2_tail(m: int) -> float:
     """sum_{j > m} 1/j^2, exactly the trigamma function at m+1."""
     return float(polygamma(1, m + 1))
-
-
-class _PpmHeadScan:
-    """Resumable per-order scan of -log2 PPM_k(x_1^n) for k = 0, 1, 2, ...
-
-    Counting is incremental in the position index: the factor at position i
-    compares prior occurrences of the length-(k+1) gram ending at i against
-    prior occurrences of its length-k context. Once every (k+1)-gram of the
-    string is distinct, all higher orders assign the uniform measure D^-n,
-    so the scan stops there (``done``).
-    """
-
-    def __init__(self, idx: FrequencyIndex):
-        self.idx = idx
-        n = idx.n
-        self.neglogs: list[float] = []
-        self.done = n <= 1
-        self._ids = np.zeros(n + 1, dtype=np.int64)
-        self._prior = np.arange(n + 1, dtype=np.int64)
-        self._next_k = 0
-
-    def ensure(self, klimit: int) -> "_PpmHeadScan":
-        idx = self.idx
-        n = idx.n
-        x = idx._x
-        D = idx.seq.alphabet.size
-        log_d = math.log2(D)
-        while not self.done and self._next_k <= min(klimit, n - 2):
-            k = self._next_k
-            m = n - k
-            key = self._ids[:m] * D + x[k : k + m]
-            _, inv, cnt = np.unique(key, return_inverse=True, return_counts=True)
-            inv = inv.astype(np.int64)
-            prior1 = prior_occurrence_counts(inv, cnt)
-            bits = (k + 1) * log_d + float(
-                np.log2(self._prior[1:m] + D).sum() - np.log2(prior1[1:] + 1).sum()
-            )
-            self.neglogs.append(bits)
-            if int(cnt.max()) <= 1:
-                self.done = True
-            self._ids, self._prior = inv, prior1
-            self._next_k = k + 1
-            if self._next_k > n - 2:
-                self.done = True
-        if self.done:
-            self._ids = self._prior = None  # only the per-order values remain
-        return self
-
-
-def _head_scan(x: Sequence, klimit: int) -> _PpmHeadScan:
-    idx = build_index(x)
-    scan = idx.scratch.get("ppm_head")
-    if scan is None:
-        scan = idx.scratch["ppm_head"] = _PpmHeadScan(idx)
-    return scan.ensure(klimit)
 
 
 def ppm_cond(x: Sequence, i: int, k: int) -> float:
@@ -126,20 +71,17 @@ def _count_in_prefix(xs: np.ndarray, w: np.ndarray, upto: int) -> int:
 
 
 def ppm_log_measure(x: Sequence, k: int) -> float:
-    """-log2 PPM_k(x_1^n) accumulated position by position (in bits)."""
+    """-log2 PPM_k(x_1^n) in bits, from the index's table of every order."""
     if k < 0:
         raise ValueError("order must be >= 0")
     n = len(x)
     if n == 0:
         return 0.0
-    D = x.alphabet.size
-    if k > n - 2:
-        return n * math.log2(D)
-    scan = _head_scan(x, k)
-    if k < len(scan.neglogs):
-        return scan.neglogs[k]
-    # scan stopped early: every remaining order assigns the uniform measure
-    return n * math.log2(D)
+    head = build_index(x).ppm_code_lengths()
+    if k < head.size:
+        return float(head[k])
+    # beyond min(L, n-2) every order assigns the uniform measure
+    return n * math.log2(x.alphabet.size)
 
 
 def ppm_log_measure_closed(x: Sequence, k: int) -> float:
@@ -192,16 +134,11 @@ def ppm_semidistribution_entropy(
     D = x.alphabet.size
     if kmax is None:
         kmax = n - 2 if exact else default_mixture_kmax(n, D)
-    kmax = min(kmax, n - 2)
-
-    head: list[float] = []
-    if n >= 2 and kmax >= 0:
-        head = _head_scan(x, kmax).neglogs[: kmax + 1]
-    terms = [-bits - 2.0 * math.log2(k + 1) for k, bits in enumerate(head)]
-    tail = -n * math.log2(D) + math.log2(_zeta2_tail(len(head)))
-    terms.append(tail)
-    peak = max(terms)
-    total = peak + math.log2(math.fsum(2.0 ** (t - peak) for t in terms))
+    head = build_index(x).ppm_code_lengths()[: max(kmax + 1, 0)]
+    tail = -n * math.log2(D) + math.log2(_zeta2_tail(head.size))
+    terms = np.append(-head - 2.0 * np.log2(np.arange(1, head.size + 1)), tail)
+    peak = float(terms.max())
+    total = peak + math.log2(math.fsum(np.exp2(terms - peak).tolist()))
     return 2.0 * math.log2(n + 1) + math.log2(math.pi**4 / 36.0) - total
 
 

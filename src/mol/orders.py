@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codes import CodeLengthFunction, _head_scan, lz78_code_length
+from .codes import CodeLengthFunction, lz78_code_length
 from .sequence import Sequence
 from .stats import EntropyProfile, build_index
 
@@ -79,16 +79,9 @@ def kt_order(x: Sequence) -> int:
     n = len(x)
     if n == 0:
         return 0
-    D = x.alphabet.size
-    scan = _head_scan(x, n - 2)
-    candidates = list(scan.neglogs)
-    if len(candidates) < n:
-        candidates.append(n * math.log2(D))
-    best = min(candidates)
-    for k, bits in enumerate(candidates):
-        if bits <= best + KT_TIE_TOL:
-            return k
-    raise AssertionError("unreachable")
+    bits = build_index(x).ppm_code_lengths().tolist() + [n * math.log2(x.alphabet.size)]
+    best = min(bits)
+    return next(k for k, b in enumerate(bits) if b <= best + KT_TIE_TOL)
 
 
 def mgz_order(x: Sequence, lam: float) -> int:

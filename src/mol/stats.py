@@ -7,6 +7,7 @@ occurrences, with N(lambda | x_1^m) = m + 1 for the empty word.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,11 @@ from .sequence import Sequence
 
 
 def _suffix_array(x: np.ndarray) -> np.ndarray:
-    """Suffix array by prefix doubling, O(n log n) with numpy lexsort."""
+    """Suffix array by prefix doubling, O(n log n): one argsort per doubling.
+
+    Each round sorts by the pair (rank of the first h symbols, rank of the
+    next h), packed into one integer key.
+    """
     n = int(x.size)
     if n == 0:
         return np.empty(0, dtype=np.int64)
@@ -24,18 +29,15 @@ def _suffix_array(x: np.ndarray) -> np.ndarray:
     sa = np.argsort(rank, kind="stable")
     h = 1
     while h < n and rank[sa[-1]] < n - 1:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - h] = rank[h:]
-        sa = np.lexsort((key2, rank))
-        r1 = rank[sa]
-        r2 = key2[sa]
-        changed = np.ones(n, dtype=np.int64)
-        changed[1:] = (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[sa] = np.cumsum(changed) - 1
-        rank = new_rank
+        key = rank * (n + 1)
+        key[: n - h] += rank[h:] + 1
+        sa = np.argsort(key)
+        k = key[sa]
+        rank = np.empty(n, dtype=np.int64)
+        rank[sa[1:]] = np.cumsum(k[1:] != k[:-1])
+        rank[sa[0]] = 0
         h *= 2
-    return sa.astype(np.int64)
+    return sa
 
 
 def _lcp_array(x: np.ndarray, sa: np.ndarray) -> np.ndarray:
@@ -43,21 +45,57 @@ def _lcp_array(x: np.ndarray, sa: np.ndarray) -> np.ndarray:
     n = int(sa.size)
     rank = np.empty(n, dtype=np.int64)
     rank[sa] = np.arange(n)
-    lcp = np.zeros(n, dtype=np.int64)
-    h = 0
+    prev = np.full(n, -1, dtype=np.int64)  # the suffix ranked just before each one
+    prev[rank > 0] = sa[rank[rank > 0] - 1]
     xs = x.tolist()
-    for i in range(n):
-        r = rank[i]
-        if r > 0:
-            j = int(sa[r - 1])
-            while i + h < n and j + h < n and xs[i + h] == xs[j + h]:
-                h += 1
-            lcp[r] = h
-            if h:
-                h -= 1
-        else:
+    xs.append(-1)  # two distinct suffixes cannot both reach the sentinel
+    plcp = array("q")  # indexed by text position
+    h = 0
+    for i, j in enumerate(prev.tolist()):
+        if j < 0:
             h = 0
-    return lcp
+        else:
+            while xs[i + h] == xs[j + h]:
+                h += 1
+        plcp.append(h)
+        if h:
+            h -= 1
+    return np.frombuffer(plcp, dtype=np.int64)[sa]
+
+
+def _lcp_intervals(lcp: np.ndarray):
+    """Bottom-up traversal of the lcp-intervals (Abouelhoda, Kurtz & Ohlebusch 2004).
+
+    Returns arrays (value, parent, lb, rb), one entry per lcp-interval of value
+    >= 1: the suffixes at ranks lb..rb share their first `value` symbols, and
+    the enclosing interval has value `parent`. Each distinct l-gram with
+    parent < l <= value therefore occurs rb - lb + 1 times.
+    """
+    value, parent, lb, rb = array("q"), array("q"), array("q"), array("q")
+    stack_v, stack_lb = [0], [0]
+    top = 0
+    for i, cur in enumerate(lcp[1:].tolist() + [0], start=1):
+        left = i - 1
+        while cur < top:
+            left = stack_lb.pop()
+            value.append(stack_v.pop())
+            top = stack_v[-1]
+            parent.append(cur if cur > top else top)
+            lb.append(left)
+            rb.append(i - 1)
+        if cur > top:
+            stack_v.append(cur)
+            stack_lb.append(left)
+            top = cur
+    return tuple(np.frombuffer(a, dtype=np.int64) for a in (value, parent, lb, rb))
+
+
+def _level_sums(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, levels: int) -> np.ndarray:
+    """out[l] = sum of w[j] over the j with lo[j] < l <= hi[j], for l < levels."""
+    diff = np.zeros(levels + 1, dtype=w.dtype)
+    np.add.at(diff, lo + 1, w)
+    np.add.at(diff, hi + 1, -w)
+    return np.cumsum(diff[:levels])
 
 
 @dataclass
@@ -96,8 +134,8 @@ class FrequencyIndex:
 
     Distinct k-grams are exposed as dense integer group ids per starting
     position; counts, vocabulary sizes and conditional entropies are all
-    derived from those. A sorted suffix index with an LCP table backs the
-    maximal-repetition query.
+    derived from those. A suffix array with its LCP table, built once, backs
+    the maximal repetition and the PPM code lengths of every order.
     """
 
     def __init__(self, seq: Sequence):
@@ -106,12 +144,11 @@ class FrequencyIndex:
         self._x = seq.ids
         self._gids: dict[int, np.ndarray] = {}
         self._gcounts: dict[int, np.ndarray] = {}
-        self._prior: dict[int, np.ndarray] = {}
         self._sa = None
         self._lcp = None
         self._maxrep = None
+        self._ppm = None
         self._h_cache: dict[int, float] = {}
-        self.scratch: dict = {}
 
     # -- gram groups ---------------------------------------------------
 
@@ -140,7 +177,7 @@ class FrequencyIndex:
 
     def _prune(self, current: int) -> None:
         keep = {current, current - 1}
-        for store in (self._gids, self._gcounts, self._prior):
+        for store in (self._gids, self._gcounts):
             for length in [j for j in store if j > self._KEEP_LEN and j not in keep]:
                 del store[length]
 
@@ -154,15 +191,6 @@ class FrequencyIndex:
         """Occurrence count N(w | x_1^n) per group id, for length-k grams."""
         self.gram_ids(k)
         return self._gcounts[k]
-
-    def gram_prior_counts(self, k: int) -> np.ndarray:
-        """Per start s, the number of earlier starts with an equal k-gram."""
-        got = self._prior.get(k)
-        if got is None:
-            ids = self.gram_ids(k)
-            got = prior_occurrence_counts(ids, self._gcounts[k])
-            self._prior[k] = got
-        return got
 
     # -- query surface -----------------------------------------------------
 
@@ -204,13 +232,58 @@ class FrequencyIndex:
         if self.n < 1:
             raise ValueError("maximal repetition needs a non-empty sequence")
         if self._maxrep is None:
-            sa = _suffix_array(self._x)
-            lcp = _lcp_array(self._x, sa)
-            self._sa, self._lcp = sa, lcp
-            self._maxrep = int(lcp.max()) if self.n > 1 else 0
-            if self.n > 4096:
-                self._sa = self._lcp = None  # large sequences keep only the scalar
+            self._sa = _suffix_array(self._x)
+            self._lcp = _lcp_array(self._x, self._sa)
+            self._maxrep = int(self._lcp.max()) if self.n > 1 else 0
         return self._maxrep
+
+    def ppm_code_lengths(self) -> np.ndarray:
+        """-log2 PPM_k(x_1^n) for k = 0..min(L, n-2), L the maximal repetition.
+
+        Every higher order assigns the uniform measure D^-n. With G_l[f] the
+        sum of f(N(w | x_1^n)) over the distinct l-grams w, h(c) =
+        log2((c+D-1)!/(D-1)!) and s_k the count of the final k-gram,
+
+            -log2 PPM_k = k log2 D - G_{k+1}[log2 c!] + G_k[h] - log2(s_k + D - 1),
+
+        where the last term takes the final k-gram, which has no successor,
+        out of G_k[h]. One pass over the lcp-intervals gives G_l for every l.
+        Sums run in extended precision, since the terms cancel to far below
+        their size.
+        """
+        if self._ppm is None:
+            self._ppm = self._ppm_pass() if self.n >= 2 else np.empty(0)
+            self._ppm.flags.writeable = False  # shared by every caller
+            self._sa = self._lcp = None  # nothing else reads them
+        return self._ppm
+
+    def _ppm_pass(self) -> np.ndarray:
+        n, D = self.n, self.seq.alphabet.size
+        L = self.max_repetition()
+        value, parent, lb, rb = _lcp_intervals(self._lcp)
+        cnt = rb - lb + 1
+        # lgf[c] = log2(c!)
+        lgf = np.zeros(n + D + 1, dtype=np.longdouble)
+        np.cumsum(np.log2(np.arange(1, n + D + 1, dtype=np.longdouble)), out=lgf[1:])
+        levels = L + 2
+        A = _level_sums(parent, value, lgf[cnt], levels)
+        B = _level_sums(parent, value, lgf[cnt + D - 1] - lgf[D - 1], levels)
+        C = _level_sums(parent, value, cnt, levels)
+        # each l-gram outside every interval occurs once and adds h(1) = log2 D
+        log_d = np.log2(np.longdouble(D))
+        k = np.arange(min(L, n - 2) + 1)
+        Gh = B[k] + log_d * (n - k + 1 - C[k])
+        Gh[0] = lgf[n + D] - lgf[D - 1]  # the empty word occurs n + 1 times
+        s = np.ones(levels, dtype=np.int64)
+        s[0] = n + 1
+        rank = np.empty(n, dtype=np.int64)
+        rank[self._sa] = np.arange(n)
+        # the suffix of length v lies in a v-interval iff the final v-gram repeats
+        r = rank[n - value]
+        hit = (lb <= r) & (r <= rb)
+        s[value[hit]] = cnt[hit]
+        bits = k * log_d - A[k + 1] + Gh - np.log2((s[k] + D - 1).astype(np.longdouble))
+        return bits.astype(np.float64)
 
     def prefix_cond_entropy(self, k: int, prefix_len: int) -> float:
         """h_k(x_1^p) for a prefix of this sequence, from shared gram ids."""
@@ -252,12 +325,3 @@ def build_index(x: Sequence) -> FrequencyIndex:
     if x._index is None:
         x._index = FrequencyIndex(x)
     return x._index
-
-
-def prior_occurrence_counts(ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """For each position, how many earlier positions carry the same group id."""
-    order = np.argsort(ids, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    out = np.empty(ids.size, dtype=np.int64)
-    out[order] = np.arange(ids.size, dtype=np.int64) - starts[ids[order]]
-    return out

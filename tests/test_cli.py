@@ -195,3 +195,36 @@ def test_cli_module_entrypoint():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_simulate_budget_error_is_config_error(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--order", "30", "--n", "100", "--trials", "1")
+    assert code == 3
+    assert err.startswith("mol: invalid config:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "profile"])
+def test_negative_kmax_is_config_error(capsys, sample_file, command):
+    code, out, err = run_cli(capsys, command, "--kmax", "-5", sample_file)
+    assert code == 3
+    assert out == ""
+    assert "--kmax" in err and ">= 0" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "profile", "simulate"])
+def test_jobs_below_one_is_config_error(capsys, sample_file, command):
+    rest = ["--n", "100", "--trials", "1"] if command == "simulate" else [sample_file]
+    argv = [command, *rest]
+    for jobs in ("0", "-2"):
+        code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+        assert code == 3
+        assert out == ""
+        assert "--jobs" in err and ">= 1" in err
+
+
+def test_profile_zero_block_is_config_error(capsys, sample_file):
+    code, out, err = run_cli(capsys, "profile", "--blocks", "4,0", sample_file)
+    assert code == 3
+    assert out == ""
+    assert "--blocks" in err and ">= 1" in err

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mol import (
     UniformCode,
     ingest,
     kraft_sum,
+    kt_order,
     lz78_code_length,
     lz78_entropy,
     make_code,
@@ -105,6 +107,39 @@ def test_ppm_closed_form_exhaustive():
                 assert ppm_log_measure(x, k) == pytest.approx(
                     ppm_log_measure_closed(x, k), abs=1e-9
                 )
+
+
+@given(
+    st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    st.integers(2, 150),
+    st.lists(st.tuples(st.integers(0, 149), st.integers(0, 2)), max_size=3),
+)
+def test_ppm_log_measure_matches_closed_form_on_repetitive_strings(period, n, edits):
+    # long repeats give deep, nested lcp-intervals
+    ids = (period * n)[:n]
+    for pos, a in edits:
+        if pos < n:
+            ids[pos] = a
+    x = seq(ids, 3)
+    for k in range(n - 1):
+        assert ppm_log_measure(x, k) == pytest.approx(ppm_log_measure_closed(x, k), abs=1e-9)
+
+
+@pytest.mark.parametrize("period, kt", [(b"a", 0), (b"abcabd", 3)])
+def test_repetitive_inputs_cost_no_quadratic_time(period, kt):
+    # a per-order scan costs O(n L) = O(n^2) here; one suffix-array pass does not
+    long = ingest((period * 100_000)[:100_000])
+    start = time.perf_counter()
+    H = PpmCode(exact=True).evaluate(long)
+    K = kt_order(long)
+    assert time.perf_counter() - start < 15.0
+    assert 0 < H < 300.0
+    assert K == kt
+    short = ingest((period * 300)[:300])
+    for k in range(len(short) - 1):
+        assert ppm_log_measure(short, k) == pytest.approx(
+            ppm_log_measure_closed(short, k), abs=1e-9
+        )
 
 
 # -- mixture semi-distribution -----------------------------------------------
