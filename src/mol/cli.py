@@ -22,6 +22,7 @@ from .orders import kt_order, mgz_order, ram_test, universal_markov_order
 from .sequence import ingest
 from .sources import (
     ExperimentConfig,
+    _TrialInvariantError,
     consistency_experiment,
     experiment_summary_rows,
     make_iid,
@@ -295,6 +296,8 @@ def _cmd_simulate(args) -> int:
     lengths = tuple(_parse_int_list(args.n))
     if not lengths:
         raise ConfigError("--n needs at least one length")
+    if any(n < 1 for n in lengths):
+        raise ConfigError(f"--n lengths must be >= 1, got {args.n!r}")
     estimators = tuple(part for part in args.estimators.split(",") if part)
     backends = tuple(part for part in args.backends.split(",") if part)
     config = ExperimentConfig(
@@ -445,6 +448,9 @@ def main(argv=None) -> int:
     except (ConfigError, BudgetError) as exc:
         sys.stderr.write(f"mol: invalid config: {exc}\n")
         return 3
+    except _TrialInvariantError as exc:
+        sys.stderr.write(f"mol: invariant violated: {exc}\n")
+        return 1
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"mol: i/o error: {exc}\n")
         return 2

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln, polygamma
 
 from .sequence import Sequence, uniform_alphabet
-from .stats import build_index
+from .stats import build_index, count_in_prefix
 
 LOG2E = 1.0 / math.log(2.0)
 LOG2_PI2_OVER_6 = math.log2(math.pi**2 / 6.0)
@@ -52,22 +52,9 @@ def ppm_cond(x: Sequence, i: int, k: int) -> float:
     if k > i - 2:
         return 1.0 / D
     xs = x.ids
-    num = _count_in_prefix(xs, xs[i - k - 1 : i], i - 1)
-    den = _count_in_prefix(xs, xs[i - k - 1 : i - 1], i - 2)
+    num = count_in_prefix(xs, xs[i - k - 1 : i], i - 1)
+    den = count_in_prefix(xs, xs[i - k - 1 : i - 1], i - 2)
     return (num + 1.0) / (den + D)
-
-
-def _count_in_prefix(xs: np.ndarray, w: np.ndarray, upto: int) -> int:
-    k = int(w.size)
-    if k == 0:
-        return upto + 1
-    if k > upto:
-        return 0
-    lim = upto - k + 1
-    hits = np.ones(lim, dtype=bool)
-    for t in range(k):
-        hits &= xs[t : t + lim] == w[t]
-    return int(hits.sum())
 
 
 def ppm_log_measure(x: Sequence, k: int) -> float:

@@ -321,6 +321,15 @@ class ExperimentConfig:
         }
 
 
+class _TrialInvariantError(RuntimeError):
+    """A trial broke an invariant. args = (n, seed entropy, detail) reproduce the
+    trial, and rebuild the error when a pool worker pickles it to the parent."""
+
+    def __str__(self) -> str:
+        n, seed_entropy, detail = self.args
+        return f"{detail} (trial n={n}, seed entropy {seed_entropy})"
+
+
 def _run_trial(args) -> dict:
     src, n, seed_entropy, config = args
     x = src.sample(n, seed=np.random.SeedSequence(seed_entropy))
@@ -337,8 +346,9 @@ def _run_trial(args) -> dict:
         out["kt"] = kt_order(x)
         ppm_result = out["backends"].get("ppm")
         if ppm_result is not None and ppm_result["order"] > out["kt"]:
-            raise AssertionError(
-                f"universal order {ppm_result['order']} exceeded KT order {out['kt']}"
+            raise _TrialInvariantError(
+                n, seed_entropy,
+                f"universal order {ppm_result['order']} exceeded KT order {out['kt']}",
             )
     if "mgz" in config.estimators:
         out["mgz"] = mgz_order(x, config.mgz_lambda)

@@ -98,6 +98,20 @@ def _level_sums(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, levels: int) -> n
     return np.cumsum(diff[:levels])
 
 
+def count_in_prefix(xs: np.ndarray, w: np.ndarray, m: int) -> int:
+    """Overlapping occurrences N(w | x_1^m) of w in xs[:m]; the empty word counts m+1 times."""
+    k = int(w.size)
+    if k == 0:
+        return m + 1
+    if k > m:
+        return 0
+    lim = m - k + 1
+    hits = np.ones(lim, dtype=bool)
+    for t in range(k):
+        hits &= xs[t : t + lim] == w[t]
+    return int(hits.sum())
+
+
 @dataclass
 class EntropyProfile:
     """Empirical conditional entropies h_k for k = 0..kmax of one string.
@@ -204,20 +218,7 @@ class FrequencyIndex:
         if m not in (n, n - 1) or m < 0:
             raise ValueError(f"prefix length must be n or n-1, got {m}")
         ids = w.ids if isinstance(w, Sequence) else np.asarray(w, dtype=np.int64)
-        k = int(ids.size)
-        if k == 0:
-            return m + 1
-        if k > n:
-            return 0
-        lim = n - k + 1
-        hits = np.ones(lim, dtype=bool)
-        for t in range(k):
-            hits &= self._x[t : t + lim] == ids[t]
-        total = int(hits.sum())
-        if m == n - 1 and k <= n and bool(hits[lim - 1]):
-            # N(w | x_1^{n-1}) = N(w | x_1^n) - [x ends with w]
-            total -= 1
-        return total
+        return count_in_prefix(self._x, ids, m)
 
     def vocab_size(self, k: int) -> int:
         """Number of distinct length-k substrings; 1 for k=0, 0 for k > n."""
@@ -285,17 +286,21 @@ class FrequencyIndex:
         bits = k * log_d - A[k + 1] + Gh - np.log2((s[k] + D - 1).astype(np.longdouble))
         return bits.astype(np.float64)
 
-    def prefix_cond_entropy(self, k: int, prefix_len: int) -> float:
-        """h_k(x_1^p) for a prefix of this sequence, from shared gram ids."""
-        p = prefix_len
-        if not 0 <= k < p <= self.n:
-            raise ValueError(f"need 0 <= k < prefix <= n, got k={k}, prefix={p}")
-        ids_k = self.gram_ids(k)
-        ids_k1 = self.gram_ids(k + 1)
-        m = p - k
-        ctx = np.bincount(ids_k[:m])
-        ext = np.bincount(ids_k1[:m])
-        terms = np.log2(ctx[ids_k[:m]]) - np.log2(ext[ids_k1[:m]])
+    def window_cond_entropy(self, k: int, start: int, stop: int) -> float:
+        """h_k of the window x[start:stop] (0-based, half-open), from shared gram ids.
+
+        Equal grams keep equal ids inside any window, so the window's counts,
+        and their order by position, are those of an index built on the slice.
+        """
+        if not 0 <= start <= start + k < stop <= self.n:
+            raise ValueError(
+                f"need 0 <= start <= start + k < stop <= n, got k={k}, "
+                f"window=({start}, {stop}), n={self.n}"
+            )
+        m = stop - start - k
+        ids_k = self.gram_ids(k)[start : start + m]
+        ids_k1 = self.gram_ids(k + 1)[start : start + m]
+        terms = np.log2(np.bincount(ids_k)[ids_k]) - np.log2(np.bincount(ids_k1)[ids_k1])
         return float(terms.sum()) / m
 
     def cond_entropy(self, k: int) -> float:
@@ -307,7 +312,7 @@ class FrequencyIndex:
             raise ValueError(f"conditional entropy needs 0 <= k < n, got k={k}, n={self.n}")
         got = self._h_cache.get(k)
         if got is None:
-            got = self._h_cache[k] = self.prefix_cond_entropy(k, self.n)
+            got = self._h_cache[k] = self.window_cond_entropy(k, 0, self.n)
         return got
 
     def profile(self, kmax: int) -> EntropyProfile:

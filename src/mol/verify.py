@@ -215,54 +215,36 @@ def suite_ppm_closed_form(ws: Workspace) -> SuiteResult:
     return res
 
 
-def _step_drop_cases(x: Sequence, kmax: int):
-    tail = x.slice(2, len(x))
-    idx = build_index(x)
-    idx_tail = build_index(tail)
-    for k in range(kmax + 1):
-        yield k, idx, idx_tail
+def _step_drop_cases(ws: Workspace):
+    """(x, k, index of x, h_k of the tail x_2^n) for the step- and prefix-drop suites."""
+    strings = [(x, len(x) - 2) for x in ws.exhaustive() if len(x) >= 2]
+    strings += [(x, min(build_index(x).max_repetition() + 2, len(x) - 2)) for x in ws.random()]
+    for x, kmax in strings:
+        idx = build_index(x)
+        for k in range(kmax + 1):
+            yield x, k, idx, idx.window_cond_entropy(k, 1, len(x))
 
 
 def suite_h_step_drop(ws: Workspace) -> SuiteResult:
     """0 <= h_k(x_2^n) - h_{k+1}(x_1^n) <= log2 D."""
     res = SuiteResult("h-step-drop", 0)
-
-    def check(x: Sequence, kmax: int):
-        log_d = math.log2(x.alphabet.size)
-        for k, idx, idx_tail in _step_drop_cases(x, kmax):
-            res.cases += 1
-            v = idx_tail.cond_entropy(k) - idx.cond_entropy(k + 1)
-            if not -EPS <= v <= log_d + EPS:
-                res.violations.append(f"step drop k={k} x={_label(x)}: {v!r}")
-
-    for x in ws.exhaustive():
-        if len(x) >= 2:
-            check(x, len(x) - 2)
-    for x in ws.random():
-        L = build_index(x).max_repetition()
-        check(x, min(L + 2, len(x) - 2))
+    for x, k, idx, h_tail in _step_drop_cases(ws):
+        res.cases += 1
+        v = h_tail - idx.cond_entropy(k + 1)
+        if not -EPS <= v <= math.log2(x.alphabet.size) + EPS:
+            res.violations.append(f"step drop k={k} x={_label(x)}: {v!r}")
     return res
 
 
 def suite_h_prefix_drop(ws: Workspace) -> SuiteResult:
     """0 <= h_k(x_1^n) - ((n-1-k)/(n-k)) h_k(x_2^n) <= log2 min(2, D)."""
     res = SuiteResult("h-prefix-drop", 0)
-
-    def check(x: Sequence, kmax: int):
+    for x, k, idx, h_tail in _step_drop_cases(ws):
         n = len(x)
-        bound = math.log2(min(2, x.alphabet.size))
-        for k, idx, idx_tail in _step_drop_cases(x, kmax):
-            res.cases += 1
-            v = idx.cond_entropy(k) - (n - 1 - k) / (n - k) * idx_tail.cond_entropy(k)
-            if not -EPS <= v <= bound + EPS:
-                res.violations.append(f"prefix drop k={k} x={_label(x)}: {v!r}")
-
-    for x in ws.exhaustive():
-        if len(x) >= 2:
-            check(x, len(x) - 2)
-    for x in ws.random():
-        L = build_index(x).max_repetition()
-        check(x, min(L + 2, len(x) - 2))
+        res.cases += 1
+        v = idx.cond_entropy(k) - (n - 1 - k) / (n - k) * h_tail
+        if not -EPS <= v <= math.log2(min(2, x.alphabet.size)) + EPS:
+            res.violations.append(f"prefix drop k={k} x={_label(x)}: {v!r}")
     return res
 
 
@@ -272,14 +254,11 @@ def _superadditivity_value(x: Sequence, nn: int, k: int) -> float:
     # n+k+1..m, so the deficit is a conditional mutual information.
     m = len(x)
     idx = build_index(x)
-    left = build_index(x.slice(1, nn))
-    right = build_index(x.slice(nn + 1, m))
     v = idx.cond_entropy(k)
-    v -= (nn - k) / (m - k) * left.cond_entropy(k)
+    v -= (nn - k) / (m - k) * idx.window_cond_entropy(k, 0, nn)
     if k > 0:
-        mid = build_index(x.slice(nn + 1 - k, nn + k))
-        v -= k / (m - k) * mid.cond_entropy(k)
-    v -= (m - nn - k) / (m - k) * right.cond_entropy(k)
+        v -= k / (m - k) * idx.window_cond_entropy(k, nn - k, nn + k)
+    v -= (m - nn - k) / (m - k) * idx.window_cond_entropy(k, nn, m)
     return v
 
 
@@ -347,26 +326,31 @@ def suite_h_series_bound(ws: Workspace) -> SuiteResult:
     """sum_l h_l(x_1^{n+l}) <= log2 n for every prefix decomposition."""
     res = SuiteResult("h-series-bound", 0)
 
-    def check(x: Sequence, nn: int, lmax: int):
+    def check(x: Sequence, splits):
+        # l runs upward once over all splits: gram ids of lengths above
+        # FrequencyIndex._KEEP_LEN are dropped as the refinement moves on
         idx = build_index(x)
-        total = math.fsum(
-            idx.prefix_cond_entropy(l, nn + l) for l in range(lmax + 1)
-        )
-        res.cases += 1
-        if total > math.log2(nn) + EPS:
-            res.violations.append(
-                f"series bound n={nn} x={_label(x)}: {total!r} > log2 {nn}"
-            )
+        terms = {nn: [] for nn, _ in splits}
+        for l in range(max(lmax for _, lmax in splits) + 1):
+            for nn, lmax in splits:
+                if l <= lmax:
+                    terms[nn].append(idx.window_cond_entropy(l, 0, nn + l))
+        for nn, _ in splits:
+            total = math.fsum(terms[nn])
+            res.cases += 1
+            if total > math.log2(nn) + EPS:
+                res.violations.append(
+                    f"series bound n={nn} x={_label(x)}: {total!r} > log2 {nn}"
+                )
 
     for x in ws.exhaustive():
-        for nn in range(1, len(x) + 1):
-            check(x, nn, len(x) - nn)
+        check(x, [(nn, len(x) - nn) for nn in range(1, len(x) + 1)])
     for x in ws.random():
         m = len(x)
         L = build_index(x).max_repetition()
-        for nn in {max(1, m - L - 1), max(1, m // 2), m}:
-            # terms beyond the maximal repetition length vanish
-            check(x, nn, min(m - nn, L + 1))
+        # terms beyond the maximal repetition length vanish
+        splits = {max(1, m - L - 1), max(1, m // 2), m}
+        check(x, [(nn, min(m - nn, L + 1)) for nn in splits])
     return res
 
 

@@ -1,9 +1,11 @@
 import json
+import pickle
 import subprocess
 import sys
 
 import pytest
 
+import mol.sources
 from mol.cli import main
 from mol.codes import CodeLengthFunction
 from mol.verify import VerifyBudget, Workspace, suite_kraft
@@ -157,6 +159,36 @@ def test_simulate_stdout_csv(capsys):
     )
     assert code == 0
     assert out.splitlines()[2].startswith("n,backend")
+
+
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_simulate_nonpositive_length_is_config_error(capsys, length):
+    code, out, err = run_cli(capsys, "simulate", f"--n={length}", "--trials", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("mol: invalid config:") and "--n" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_simulate_invariant_violation_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(mol.sources, "kt_order", lambda x: 0)
+    code, out, err = run_cli(
+        capsys, "simulate", "--order", "1", "--sticky", "0.9", "--n", "300",
+        "--trials", "1", "--seed", "2", "--estimators", "universal,kt", "--jobs", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("mol: invariant violated:") and "exceeded KT order 0" in err
+    assert "n=300" in err and "(2, 0, 0)" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_trial_invariant_error_pickles():
+    # --jobs > 1 hands it from a pool worker to the parent by pickling
+    err = mol.sources._TrialInvariantError(300, (2, 0, 1), "order above KT")
+    back = pickle.loads(pickle.dumps(err))
+    assert back.args == (300, (2, 0, 1), "order above KT")
+    assert str(back) == str(err)
 
 
 def test_simulate_bad_source_flags(capsys):

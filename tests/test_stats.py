@@ -232,7 +232,7 @@ def test_series_bound_exhaustive_small():
             idx = build_index(x)
             for n in range(1, m + 1):
                 total = math.fsum(
-                    idx.prefix_cond_entropy(l, n + l) for l in range(m - n + 1)
+                    idx.window_cond_entropy(l, 0, n + l) for l in range(m - n + 1)
                 )
                 assert total <= math.log2(n) + 1e-9
 
@@ -245,4 +245,25 @@ def test_prefix_cond_entropy_matches_sliced_index(ids):
     for p in {max(1, n // 2), n}:
         for k in range(min(3, p)):
             direct = build_index(x.slice(1, p)).cond_entropy(k)
-            assert idx.prefix_cond_entropy(k, p) == pytest.approx(direct, abs=1e-12)
+            assert idx.window_cond_entropy(k, 0, p) == pytest.approx(direct, abs=1e-12)
+
+
+@given(random_ids, st.data())
+def test_window_cond_entropy_equals_sliced_index(ids, data):
+    x = seq(ids, 4)
+    n = len(x)
+    idx = build_index(x)
+    start = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(0, min(7, n - 1 - start)))
+    stop = data.draw(st.integers(start + k + 1, n))
+    # a drawn window, one ending at n, and minimal ones of length k + 1
+    windows = {(start, stop), (start, n), (start, start + k + 1), (n - k - 1, n)}
+    for a, b in sorted(windows):
+        assert idx.window_cond_entropy(k, a, b) == build_index(x.slice(a + 1, b)).cond_entropy(k)
+
+
+def test_window_cond_entropy_rejects_invalid_windows():
+    idx = build_index(ingest(b"abcab"))
+    for k, start, stop in [(0, -1, 3), (0, 2, 2), (0, 3, 2), (2, 1, 3), (0, 0, 6), (-1, 0, 3)]:
+        with pytest.raises(ValueError):
+            idx.window_cond_entropy(k, start, stop)
