@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ._version import __version__
-from .codes import BudgetError, make_code
+from .codes import KRAFT_ENUM_GUARD, BudgetError, make_code
 from .mi import mi_profile
 from .orders import kt_order, mgz_order, ram_test, universal_markov_order
 from .sequence import ingest
@@ -334,6 +334,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    names = args.suite or None
+    # d >= 2, so capping the exponent keeps the comparison exact and the power small
+    top = min(args.kraft_nmax, KRAFT_ENUM_GUARD.bit_length())
+    if (names is None or "kraft" in names) and args.d**top > KRAFT_ENUM_GUARD:
+        raise ConfigError(
+            f"--kraft-nmax {args.kraft_nmax} enumerates {args.d}^{args.kraft_nmax} strings, "
+            f"more than the guard of {KRAFT_ENUM_GUARD}"
+        )
     budget = VerifyBudget(
         alphabet_size=args.d,
         exhaustive_max_n=args.nmax,
@@ -343,7 +351,6 @@ def _cmd_verify(args) -> int:
         random_max_alphabet=args.random_dmax,
         random_seed=_resolve_seed(args.seed),
     )
-    names = args.suite or None
     results = run_suites(names, budget)
     width = max(len(r.name) for r in results)
     failed = False
@@ -428,11 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", action="append", choices=sorted(SUITES),
                    help="suite name (repeatable); all suites by default")
-    p.add_argument("--nmax", type=int, default=10, help="exhaustive length budget")
-    p.add_argument("--d", type=int, default=2, help="exhaustive alphabet size")
-    p.add_argument("--cases", type=int, default=2000, help="random case count")
-    p.add_argument("--random-nmax", type=int, default=512)
-    p.add_argument("--random-dmax", type=int, default=4)
+    p.add_argument("--nmax", type=_int_at_least(1), default=10, help="exhaustive length budget")
+    p.add_argument("--d", type=_int_at_least(2), default=2, help="exhaustive alphabet size")
+    p.add_argument("--cases", type=_int_at_least(0), default=2000, help="random case count")
+    # random cases draw lengths from 8 (fixed in verify.Workspace.random) up to this
+    p.add_argument("--random-nmax", type=_int_at_least(8), default=512)
+    p.add_argument("--random-dmax", type=_int_at_least(2), default=4)
     p.add_argument("--kraft-nmax", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify)

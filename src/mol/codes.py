@@ -136,28 +136,34 @@ def lz78_code_length(x: Sequence) -> float:
     options (the empty phrase plus phrases 1..j-1), costing ceil(log2 j)
     bits, followed by one symbol at ceil(log2 D) bits. A trailing match that
     runs out of input is emitted the same way, referencing its parent phrase.
+    The parse runs once per sequence; its cost is kept on the sequence's index.
     """
-    D = x.alphabet.size
-    sym_bits = (D - 1).bit_length()
+    idx = build_index(x)
+    if idx.lz78_bits is None:
+        idx.lz78_bits = _lz78_parse(x.ids, x.alphabet.size)
+    return idx.lz78_bits
+
+
+def _lz78_parse(ids: np.ndarray, D: int) -> float:
+    # The trie maps node * D + a to the child of `node` along symbol a; nodes
+    # are held pre-multiplied by D, so each step costs one addition and one
+    # int-keyed lookup. Every trie entry is one completed phrase.
     trie: dict = {}
     node = 0
-    next_id = 1
-    phrases = 0
-    bits = 0
-    for a in x.ids.tolist():
-        child = trie.get((node, a))
+    next_node = D  # node 1, held as 1 * D
+    for a in ids.tolist():
+        key = node + a
+        child = trie.get(key)
         if child is None:
-            phrases += 1
-            bits += (phrases - 1).bit_length() + sym_bits
-            trie[(node, a)] = next_id
-            next_id += 1
+            trie[key] = next_node
+            next_node += D
             node = 0
         else:
             node = child
-    if node != 0:
-        phrases += 1
-        bits += (phrases - 1).bit_length() + sym_bits
-    return float(bits)
+    phrases = len(trie) + (node != 0)
+    # phrase j costs ceil(log2 j) = (j - 1).bit_length() bits
+    ref_bits = sum(j.bit_length() for j in range(phrases))
+    return float(ref_bits + phrases * (D - 1).bit_length())
 
 
 def lz78_entropy(x: Sequence) -> float:

@@ -156,34 +156,38 @@ def ingest(data, mode: str = "bytes", alphabet: Iterable | None = None) -> Seque
     if mode == "bytes":
         if isinstance(data, str):
             data = data.encode("utf-8")
-        stream = list(data)
+        values, first, inverse = np.unique(
+            np.frombuffer(data, dtype=np.uint8), return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)  # distinct byte values by first occurrence
+        ids = np.argsort(order)[inverse]
+        tokens = values[order].tolist()
         kind = "bytes"
     elif mode in ("tokens", "explicit"):
         if isinstance(data, bytes):
             data = data.decode("utf-8")
         stream = data.split()
         kind = "tokens"
+        if mode == "explicit":
+            tokens = tuple(alphabet) if alphabet is not None else ()
+            if not tokens:
+                raise AlphabetError("empty alphabet")
+            alpha = Alphabet(tokens, kind=kind)
+            ids = [alpha.id_of(t) for t in stream]
+            return Sequence(np.array(ids, dtype=np.int64), alpha)
+        seen: dict = {}
+        ids = []
+        for t in stream:
+            i = seen.get(t)
+            if i is None:
+                i = len(seen)
+                seen[t] = i
+            ids.append(i)
+        tokens = list(seen)
     else:
         raise ValueError(f"unknown ingest mode: {mode!r}")
 
-    if mode == "explicit":
-        tokens = tuple(alphabet) if alphabet is not None else ()
-        if not tokens:
-            raise AlphabetError("empty alphabet")
-        alpha = Alphabet(tokens, kind=kind)
-        ids = [alpha.id_of(t) for t in stream]
-        return Sequence(np.array(ids, dtype=np.int64), alpha)
-
-    seen: dict = {}
-    ids = []
-    for t in stream:
-        i = seen.get(t)
-        if i is None:
-            i = len(seen)
-            seen[t] = i
-        ids.append(i)
-    tokens = list(seen)
     if len(tokens) < 2:
         tokens.extend(_pad_tokens(set(tokens), kind, 2 - len(tokens)))
     alpha = Alphabet(tuple(tokens), kind=kind)
-    return Sequence(np.array(ids, dtype=np.int64), alpha)
+    return Sequence(ids, alpha)

@@ -163,6 +163,7 @@ class FrequencyIndex:
         self._maxrep = None
         self._ppm = None
         self._h_cache: dict[int, float] = {}
+        self.lz78_bits: float | None = None  # set once by codes.lz78_code_length
 
     # -- gram groups ---------------------------------------------------
 

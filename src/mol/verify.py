@@ -73,13 +73,6 @@ def _label(x: Sequence) -> str:
 # -- naive oracles (independent of the indexed fast paths) -------------------
 
 
-def naive_count(ids, w, m: int) -> int:
-    k = len(w)
-    if k == 0:
-        return m + 1
-    return sum(1 for i in range(m - k + 1) if tuple(ids[i : i + k]) == tuple(w))
-
-
 def naive_h_position_form(x: Sequence, k: int) -> float:
     ids = x.ids.tolist()
     n = len(ids)

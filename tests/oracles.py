@@ -123,6 +123,20 @@ def lz78_oracle(ids, D: int) -> int:
     return bits
 
 
+def ingest_bytes_oracle(data: bytes):
+    """(ids, tokens) of bytes-mode ingest: ids in first-occurrence order, a
+    dict lookup per byte, tokens padded with the smallest free byte values."""
+    seen = {}
+    ids = []
+    for b in data:
+        if b not in seen:
+            seen[b] = len(seen)
+        ids.append(seen[b])
+    tokens = list(seen)
+    tokens += [b for b in range(256) if b not in seen][: max(0, 2 - len(tokens))]
+    return ids, tokens
+
+
 def block_prob_oracle(src, ids) -> float:
     """P(x_1^n) for a SourceModel, by marginal initial law plus transitions."""
     ids = list(ids)

@@ -2,6 +2,7 @@ import json
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -260,3 +261,33 @@ def test_profile_zero_block_is_config_error(capsys, sample_file):
     assert code == 3
     assert out == ""
     assert "--blocks" in err and ">= 1" in err
+
+
+@pytest.mark.parametrize("flag, value, low", [
+    ("--nmax", "-1", 1), ("--nmax", "0", 1), ("--cases", "-5", 0),
+    ("--random-nmax", "4", 8), ("--random-dmax", "1", 2), ("--d", "1", 2),
+])
+def test_verify_budget_flags_are_validated(capsys, flag, value, low):
+    code, out, err = run_cli(capsys, "verify", "--suite", "kraft", flag, value)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("mol: invalid config:") and err.count("\n") == 1
+    assert flag in err and f">= {low}" in err
+
+
+@pytest.mark.parametrize("d, nmax", [("2", "40"), ("2", "1000000000"), ("4", "11"), ("1025", "2")])
+def test_verify_kraft_nmax_beyond_guard_fails_fast(capsys, d, nmax):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "kraft", "--d", d, "--kraft-nmax", nmax)
+    assert time.perf_counter() - start < 5.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("mol: invalid config:") and err.count("\n") == 1
+    assert f"--kraft-nmax {nmax}" in err
+
+
+def test_verify_kraft_nmax_ignored_without_kraft_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "h-forms", "--nmax", "3",
+                           "--cases", "0", "--kraft-nmax", "40")
+    assert code == 0
+    assert out.startswith("h-forms") and out.rstrip().endswith("PASS")

@@ -204,6 +204,36 @@ def test_lz78_matches_oracle(ids):
     assert lz78_entropy(x) > lz78_code_length(x)
 
 
+@given(st.integers(2, 400).flatmap(
+    lambda D: st.tuples(st.just(D), st.lists(st.integers(0, D - 1), max_size=300))
+))
+def test_lz78_matches_oracle_wide_alphabet(case):
+    # trie keys node * D + a must stay distinct at every alphabet size
+    D, ids = case
+    assert lz78_code_length(seq(ids, D)) == lz78_oracle(ids, D)
+
+
+def test_lz78_parses_once_per_sequence(tmp_path, monkeypatch, capsys):
+    import mol.codes
+    from mol.cli import main
+
+    calls = []
+    parse = mol.codes._lz78_parse
+
+    def counted(ids, D):
+        calls.append(len(ids))
+        return parse(ids, D)
+
+    monkeypatch.setattr(mol.codes, "_lz78_parse", counted)
+    path = tmp_path / "x.bin"
+    path.write_bytes(bytes(np.random.default_rng(3).integers(0, 2, 5000).astype(np.uint8)))
+    code = main(["estimate", "--backend", "lz78", "--mgz", "0.1", "--ram", "1:0.05",
+                 str(path)])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == [5000]  # universal order, MGZ and RAM share one parse
+
+
 # -- Kraft sums ---------------------------------------------------------------
 
 

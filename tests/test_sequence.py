@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mol import Alphabet, AlphabetError, Sequence, ingest, uniform_alphabet
+
+from oracles import ingest_bytes_oracle
 
 
 def test_ingest_bytes_first_occurrence_order():
@@ -106,6 +108,21 @@ def test_render_round_trip_tokens(ids):
 @given(st.binary(max_size=40))
 def test_ingest_render_round_trip_bytes(data):
     assert ingest(data).render() == data
+
+
+@given(st.binary(max_size=600))
+@example(b"")
+@example(b"\x00" * 5)  # one distinct byte: padded with the next free value, 1
+@example(b"\x07")
+@example(bytes(range(256)))
+@example(bytes(range(255, -1, -1)) * 2)
+def test_ingest_bytes_matches_first_occurrence_oracle(data):
+    x = ingest(data)
+    ids, tokens = ingest_bytes_oracle(data)
+    assert x.ids.tolist() == ids
+    assert x.alphabet.tokens == tuple(tokens)
+    assert all(type(t) is int for t in x.alphabet.tokens)
+    assert x.alphabet.kind == "bytes"
 
 
 @given(ids_lists, st.data())
