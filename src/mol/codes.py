@@ -20,7 +20,7 @@ from .stats import build_index, count_in_prefix
 LOG2E = 1.0 / math.log(2.0)
 LOG2_PI2_OVER_6 = math.log2(math.pi**2 / 6.0)
 
-KRAFT_ENUM_GUARD = 1 << 20
+KRAFT_ENUM_GUARD = 1 << 16
 
 
 class BudgetError(RuntimeError):
@@ -195,7 +195,7 @@ def ppm_bound_gap(x: Sequence, k: int) -> float:
     h_k = idx.cond_entropy(k)
     ids_k = idx.gram_ids(k)
     m = n - k
-    vocab_prefix = int(np.unique(ids_k[:m]).size)
+    vocab_prefix = int(np.count_nonzero(np.bincount(ids_k[:m])))
     bits = ppm_log_measure(x, k)
     return (bits - k * math.log2(D) - (n - k) * h_k) / (D * vocab_prefix)
 

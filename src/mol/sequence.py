@@ -156,12 +156,15 @@ def ingest(data, mode: str = "bytes", alphabet: Iterable | None = None) -> Seque
     if mode == "bytes":
         if isinstance(data, str):
             data = data.encode("utf-8")
-        values, first, inverse = np.unique(
-            np.frombuffer(data, dtype=np.uint8), return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)  # distinct byte values by first occurrence
-        ids = np.argsort(order)[inverse]
-        tokens = values[order].tolist()
+        arr = np.frombuffer(data, dtype=np.uint8)
+        first = np.full(256, arr.size)  # first position of each byte value
+        np.minimum.at(first, arr, np.arange(arr.size))
+        # the byte values that occur, by first occurrence (absent ones sort last)
+        order = np.argsort(first)[: np.count_nonzero(first < arr.size)]
+        rank = np.zeros(256, dtype=np.int64)
+        rank[order] = np.arange(order.size)
+        ids = rank[arr]
+        tokens = order.tolist()
         kind = "bytes"
     elif mode in ("tokens", "explicit"):
         if isinstance(data, bytes):

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .sequence import Sequence
+
+_BLOCK = 1 << 16  # entries per block when a Python loop walks a numpy array
 
 
 def _suffix_array(x: np.ndarray) -> np.ndarray:
@@ -40,6 +43,11 @@ def _suffix_array(x: np.ndarray) -> np.ndarray:
     return sa
 
 
+def _py_ints(a: np.ndarray):
+    """The items of a as Python ints, converted one block at a time, so that no
+    list of all n of them is ever held."""
+    return chain.from_iterable(a[s : s + _BLOCK].tolist() for s in range(0, a.size, _BLOCK))
+
 def _lcp_array(x: np.ndarray, sa: np.ndarray) -> np.ndarray:
     """Kasai longest-common-prefix array; lcp[r] = lcp(suffix sa[r-1], suffix sa[r])."""
     n = int(sa.size)
@@ -51,7 +59,7 @@ def _lcp_array(x: np.ndarray, sa: np.ndarray) -> np.ndarray:
     xs.append(-1)  # two distinct suffixes cannot both reach the sentinel
     plcp = array("q")  # indexed by text position
     h = 0
-    for i, j in enumerate(prev.tolist()):
+    for i, j in enumerate(_py_ints(prev)):
         if j < 0:
             h = 0
         else:
@@ -74,7 +82,7 @@ def _lcp_intervals(lcp: np.ndarray):
     value, parent, lb, rb = array("q"), array("q"), array("q"), array("q")
     stack_v, stack_lb = [0], [0]
     top = 0
-    for i, cur in enumerate(lcp[1:].tolist() + [0], start=1):
+    for i, cur in enumerate(chain(_py_ints(lcp[1:]), (0,)), start=1):
         left = i - 1
         while cur < top:
             left = stack_lb.pop()
@@ -88,6 +96,49 @@ def _lcp_intervals(lcp: np.ndarray):
             stack_lb.append(left)
             top = cur
     return tuple(np.frombuffer(a, dtype=np.int64) for a in (value, parent, lb, rb))
+
+
+# past this many count bins per key (plus a small floor) a counting rank's
+# table dwarfs the keys, as for long grams over byte or token alphabets
+_COUNT_BINS_PER_KEY = 4
+
+
+def _rank_by_sort(key: np.ndarray):
+    """(ids, counts) as _dense_rank gives them, by one sort of the keys."""
+    _, inv, cnt = np.unique(key, return_inverse=True, return_counts=True)
+    return inv.astype(np.int64), cnt.astype(np.int64)
+
+
+def _dense_rank(key: np.ndarray, size: int):
+    """(ids, counts): the rank of each key among the distinct keys, 0 <= key < size,
+    and the count of each distinct key in rank order.
+
+    Counts into a table of `size` bins, O(m + size), unless the table would be
+    large next to the m keys; then it sorts, O(m log m). Both give the same ranks.
+    """
+    if size > _COUNT_BINS_PER_KEY * key.size + 64:
+        return _rank_by_sort(key)
+    cnt = np.bincount(key, minlength=size)
+    seen = cnt > 0
+    return (np.cumsum(seen) - 1)[key], cnt[seen]
+
+
+def _final_gram_counts(sa, value, lb, rb, cnt, levels: int) -> np.ndarray:
+    """s[l] = occurrences of the final l-gram of the text, for l < levels.
+
+    A function of its own, so that its n-long temporaries are freed before the
+    PPM pass builds its level sums.
+    """
+    n = int(sa.size)
+    s = np.ones(levels, dtype=np.int64)
+    s[0] = n + 1
+    rank = np.empty(n, dtype=np.int64)
+    rank[sa] = np.arange(n)
+    # the suffix of length v lies in a v-interval iff the final v-gram repeats
+    r = rank[n - value]
+    hit = (lb <= r) & (r <= rb)
+    s[value[hit]] = cnt[hit]
+    return s
 
 
 def _level_sums(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, levels: int) -> np.ndarray:
@@ -198,9 +249,9 @@ class FrequencyIndex:
 
     def _refine(self, prev: np.ndarray, length: int):
         m = self.n - length + 1
-        key = prev[:m] * self.seq.alphabet.size + self._x[length - 1 : length - 1 + m]
-        _, inv, cnt = np.unique(key, return_inverse=True, return_counts=True)
-        return inv.astype(np.int64), cnt.astype(np.int64)
+        D = self.seq.alphabet.size
+        key = prev[:m] * D + self._x[length - 1 : length - 1 + m]
+        return _dense_rank(key, self._gcounts[length - 1].size * D)
 
     def gram_counts(self, k: int) -> np.ndarray:
         """Occurrence count N(w | x_1^n) per group id, for length-k grams."""
@@ -256,7 +307,6 @@ class FrequencyIndex:
         if self._ppm is None:
             self._ppm = self._ppm_pass() if self.n >= 2 else np.empty(0)
             self._ppm.flags.writeable = False  # shared by every caller
-            self._sa = self._lcp = None  # nothing else reads them
         return self._ppm
 
     def _ppm_pass(self) -> np.ndarray:
@@ -264,27 +314,27 @@ class FrequencyIndex:
         L = self.max_repetition()
         value, parent, lb, rb = _lcp_intervals(self._lcp)
         cnt = rb - lb + 1
+        levels = L + 2
+        s = _final_gram_counts(self._sa, value, lb, rb, cnt, levels)
+        self._sa = self._lcp = None  # nothing else reads them
         # lgf[c] = log2(c!)
         lgf = np.zeros(n + D + 1, dtype=np.longdouble)
         np.cumsum(np.log2(np.arange(1, n + D + 1, dtype=np.longdouble)), out=lgf[1:])
-        levels = L + 2
         A = _level_sums(parent, value, lgf[cnt], levels)
         B = _level_sums(parent, value, lgf[cnt + D - 1] - lgf[D - 1], levels)
         C = _level_sums(parent, value, cnt, levels)
-        # each l-gram outside every interval occurs once and adds h(1) = log2 D
         log_d = np.log2(np.longdouble(D))
-        k = np.arange(min(L, n - 2) + 1)
-        Gh = B[k] + log_d * (n - k + 1 - C[k])
+        # K reaches n on constant and periodic strings, so B and log_s are
+        # updated in place to keep the peak memory down
+        K = min(L, n - 2) + 1
+        k = np.arange(K)
+        # each l-gram outside every interval occurs once and adds h(1) = log2 D
+        Gh = B[:K]
+        Gh += log_d * (n - k + 1 - C[:K])
         Gh[0] = lgf[n + D] - lgf[D - 1]  # the empty word occurs n + 1 times
-        s = np.ones(levels, dtype=np.int64)
-        s[0] = n + 1
-        rank = np.empty(n, dtype=np.int64)
-        rank[self._sa] = np.arange(n)
-        # the suffix of length v lies in a v-interval iff the final v-gram repeats
-        r = rank[n - value]
-        hit = (lb <= r) & (r <= rb)
-        s[value[hit]] = cnt[hit]
-        bits = k * log_d - A[k + 1] + Gh - np.log2((s[k] + D - 1).astype(np.longdouble))
+        log_s = (s[:K] + D - 1).astype(np.longdouble)
+        np.log2(log_s, out=log_s)
+        bits = k * log_d - A[1 : K + 1] + Gh - log_s
         return bits.astype(np.float64)
 
     def window_cond_entropy(self, k: int, start: int, stop: int) -> float:
@@ -301,7 +351,10 @@ class FrequencyIndex:
         m = stop - start - k
         ids_k = self.gram_ids(k)[start : start + m]
         ids_k1 = self.gram_ids(k + 1)[start : start + m]
-        terms = np.log2(np.bincount(ids_k)[ids_k]) - np.log2(np.bincount(ids_k1)[ids_k1])
+        # ids absent from the window count 0 and are never gathered
+        log_k = np.log2(np.maximum(np.bincount(ids_k), 1))
+        log_k1 = np.log2(np.maximum(np.bincount(ids_k1), 1))
+        terms = log_k[ids_k] - log_k1[ids_k1]
         return float(terms.sum()) / m
 
     def cond_entropy(self, k: int) -> float:

@@ -275,7 +275,9 @@ def test_verify_budget_flags_are_validated(capsys, flag, value, low):
     assert flag in err and f">= {low}" in err
 
 
-@pytest.mark.parametrize("d, nmax", [("2", "40"), ("2", "1000000000"), ("4", "11"), ("1025", "2")])
+@pytest.mark.parametrize("d, nmax", [
+    ("2", "40"), ("2", "1000000000"), ("4", "11"), ("1025", "2"), ("2", "17"),
+])
 def test_verify_kraft_nmax_beyond_guard_fails_fast(capsys, d, nmax):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "--suite", "kraft", "--d", d, "--kraft-nmax", nmax)

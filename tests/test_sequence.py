@@ -114,6 +114,8 @@ def test_ingest_render_round_trip_bytes(data):
 @example(b"")
 @example(b"\x00" * 5)  # one distinct byte: padded with the next free value, 1
 @example(b"\x07")
+@example(b"\x80\x80\x80")  # one value above the padding byte 0
+@example(b"\xff\x00\x80\x00")  # first occurrences out of value order
 @example(bytes(range(256)))
 @example(bytes(range(255, -1, -1)) * 2)
 def test_ingest_bytes_matches_first_occurrence_oracle(data):

@@ -1,10 +1,11 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mol import build_index, ingest
+from mol import build_index, ingest, stats
 
 from oracles import (
     all_strings,
@@ -56,6 +57,37 @@ def test_gram_count_totals(ids):
     n = len(ids)
     for k in range(n + 1):
         assert int(idx.gram_counts(k).sum()) == n - k + 1
+
+
+def _stacked_gram_reference(ids, k):
+    """(ids, counts) of the k-grams: np.unique over the rows x[i:i+k], i = 0..n-k."""
+    n = len(ids)
+    if k == 0:
+        return [0] * (n + 1), [n + 1]
+    a = np.asarray(ids, dtype=np.int64)
+    rows = np.stack([a[t : n - k + 1 + t] for t in range(k)], axis=1)
+    _, inv, cnt = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    return inv.reshape(-1).tolist(), cnt.tolist()
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_gram_ids_match_stacked_rows_in_both_rank_branches(data):
+    # D <= 4 keeps the count table within 4 bins per key, so every length counts;
+    # D >= 300 over at most 50 symbols exceeds it at every length, so every length sorts
+    wide = data.draw(st.booleans())
+    D = data.draw(st.integers(300, 600) if wide else st.integers(2, 4))
+    ids = data.draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=50))
+    sorted_lengths = []
+    rank_by_sort = stats._rank_by_sort
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_rank_by_sort", lambda key: sorted_lengths.append(key.size) or rank_by_sort(key))
+        idx = build_index(seq(ids, D))
+        for k in range(len(ids) + 1):
+            ref_ids, ref_counts = _stacked_gram_reference(ids, k)
+            assert idx.gram_ids(k).tolist() == ref_ids
+            assert idx.gram_counts(k).tolist() == ref_counts
+    assert len(sorted_lengths) == (len(ids) if wide else 0)
 
 
 # -- vocabulary and maximal repetition ---------------------------------------
