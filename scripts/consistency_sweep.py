@@ -12,7 +12,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 from mol import (
@@ -23,6 +22,7 @@ from mol import (
     make_markov,
     sticky_chain,
 )
+from mol.cli import _csv_table, _dump_json
 
 
 def reference_sources():
@@ -58,12 +58,9 @@ def main() -> int:
         )
         report = consistency_experiment(src, config)
         name = (src.label or "source").replace(".", "_")
-        (out_dir / f"{name}.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        lines = ["n,backend,hit_rate,mean_M,mean_K,h_at_M,h_P"]
-        for row in experiment_summary_rows(report):
-            lines.append(",".join("" if v == "" else format(v, ".6g") if isinstance(v, float) else str(v) for v in row))
+        (out_dir / f"{name}.json").write_text(_dump_json(report), encoding="utf-8")
+        header = ["n", "backend", "hit_rate", "mean_M", "mean_K", "h_at_M", "h_P"]
+        lines = _csv_table(header, experiment_summary_rows(report))
         (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         final = [r for r in report["runs"] if r["backend"] == "ppm"][-1]
         print(

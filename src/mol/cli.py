@@ -110,7 +110,7 @@ def _csv_table(header: list[str], rows: list) -> list[str]:
 def _estimate_file(task: dict) -> dict:
     data = Path(task["path"]).read_bytes()
     x = ingest(data, mode=task["mode"], alphabet=task["alphabet"])
-    code = make_code(task["backend"], ppm_exact=task["ppm_exact"], ppm_kmax=task["kmax"])
+    code = make_code(task["backend"], ppm_exact=task["ppm_exact"])
     report = universal_markov_order(x, code)
     result = {
         "file": task["path"],
@@ -146,7 +146,6 @@ def _cmd_estimate(args) -> int:
         "command": "estimate",
         "backend": args.backend,
         "ppm_exact": args.ppm_exact,
-        "kmax": args.kmax,
         "mode": mode,
         "kt": args.kt,
         "mgz": args.mgz,
@@ -162,7 +161,6 @@ def _cmd_estimate(args) -> int:
             "alphabet": alphabet,
             "backend": args.backend,
             "ppm_exact": args.ppm_exact,
-            "kmax": args.kmax,
             "kt": args.kt,
             "mgz": args.mgz,
             "ram": ram,
@@ -225,14 +223,13 @@ def _cmd_profile(args) -> int:
     profile = build_index(x).profile(kmax)
     config = {
         "command": "profile",
-        "backend": args.backend,
         "ppm_exact": args.ppm_exact,
         "kmax": args.kmax,
         "blocks": blocks,
         "file": args.file,
         "seed": seed,
     }
-    meta = _meta("profile", seed, args.backend, config)
+    meta = _meta("profile", seed, "ppm", config)
     mi_rows = []
     if blocks:
         code = make_code("ppm", ppm_exact=args.ppm_exact)
@@ -381,12 +378,10 @@ def _int_at_least(low: int):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=["ppm", "lz78"], default="ppm")
     p.add_argument("--ppm-exact", action="store_true",
                    help="evaluate the full PPM mixture instead of the capped head")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed; the MOL_SEED env var applies when absent")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--out", default=None)
 
@@ -399,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--mode", choices=["bytes", "tokens"], default="bytes")
     p.add_argument("--alphabet", default=None, help="JSON token list (explicit mode)")
-    p.add_argument("--kmax", type=_int_at_least(0), default=None,
-                   help="PPM mixture head cutoff")
+    p.add_argument("--backend", choices=["ppm", "lz78"], default="ppm")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--kt", action="store_true", help="also report the KT order")
     p.add_argument("--mgz", type=float, default=None, metavar="LAMBDA")
     p.add_argument("--ram", default=None, metavar="M:ALPHA")
@@ -429,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backends", default="ppm")
     p.add_argument("--estimators", default="universal")
     p.add_argument("--mgz", type=float, default=None, metavar="LAMBDA")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -441,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     # random cases draw lengths from 8 (fixed in verify.Workspace.random) up to this
     p.add_argument("--random-nmax", type=_int_at_least(8), default=512)
     p.add_argument("--random-dmax", type=_int_at_least(2), default=4)
-    p.add_argument("--kraft-nmax", type=int, default=10)
+    p.add_argument("--kraft-nmax", type=_int_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -103,9 +103,7 @@ def default_mixture_kmax(n: int, D: int) -> int:
     return min(n - 2, math.ceil(math.log2(max(n, 2)) / math.log2(D)) + 16)
 
 
-def ppm_semidistribution_entropy(
-    x: Sequence, exact: bool = False, kmax: int | None = None
-) -> float:
+def ppm_semidistribution_entropy(x: Sequence, exact: bool = False) -> float:
     """Pointwise entropy of the PPM mixture semi-distribution, in bits.
 
     H(x) = -log2[ (36/pi^4) (n+1)^-2 sum_k PPM_k(x)/(k+1)^2 ]. The head of the
@@ -119,8 +117,7 @@ def ppm_semidistribution_entropy(
     """
     n = len(x)
     D = x.alphabet.size
-    if kmax is None:
-        kmax = n - 2 if exact else default_mixture_kmax(n, D)
+    kmax = n - 2 if exact else default_mixture_kmax(n, D)
     head = build_index(x).ppm_code_lengths()[: max(kmax + 1, 0)]
     tail = -n * math.log2(D) + math.log2(_zeta2_tail(head.size))
     terms = np.append(-head - 2.0 * np.log2(np.arange(1, head.size + 1)), tail)
@@ -218,12 +215,11 @@ class PpmCode(CodeLengthFunction):
 
     name = "ppm"
 
-    def __init__(self, exact: bool = False, kmax: int | None = None):
+    def __init__(self, exact: bool = False):
         self.exact = exact
-        self.kmax = kmax
 
     def evaluate(self, x: Sequence) -> float:
-        return ppm_semidistribution_entropy(x, exact=self.exact, kmax=self.kmax)
+        return ppm_semidistribution_entropy(x, exact=self.exact)
 
 
 class Lz78Code(CodeLengthFunction):
@@ -262,10 +258,10 @@ class OffsetCode(CodeLengthFunction):
 BACKENDS = ("ppm", "lz78")
 
 
-def make_code(name: str, ppm_exact: bool = False, ppm_kmax: int | None = None) -> CodeLengthFunction:
+def make_code(name: str, ppm_exact: bool = False) -> CodeLengthFunction:
     """Backend by name: "ppm" or "lz78"."""
     if name == "ppm":
-        return PpmCode(exact=ppm_exact, kmax=ppm_kmax)
+        return PpmCode(exact=ppm_exact)
     if name == "lz78":
         return Lz78Code()
     raise ValueError(f"unknown backend: {name!r}")

@@ -160,22 +160,6 @@ class SourceModel:
             acc += math.log2(scale)
         return -acc
 
-    def oracles(self, kmax: int, block_lengths=()) -> "SourceOracles":
-        return SourceOracles(
-            cond_entropies=[self.cond_entropy(k) for k in range(kmax + 1)],
-            entropy_rate=self.entropy_rate(),
-            renyi={int(n): self.renyi_block_entropy(n) for n in block_lengths},
-        )
-
-
-@dataclass
-class SourceOracles:
-    """Exact h_k, entropy rate and Renyi block entropies of one source."""
-
-    cond_entropies: list
-    entropy_rate: float
-    renyi: dict
-
 
 def _validate_rows(T: np.ndarray) -> np.ndarray:
     if np.any(T < 0):

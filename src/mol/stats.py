@@ -18,43 +18,16 @@ from .sequence import Sequence
 _BLOCK = 1 << 16  # entries per block when a Python loop walks a numpy array
 
 
-def _suffix_array(x: np.ndarray) -> np.ndarray:
-    """Suffix array by prefix doubling, O(n log n): one argsort per doubling.
-
-    Each round sorts by the pair (rank of the first h symbols, rank of the
-    next h), packed into one integer key.
-    """
-    n = int(x.size)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    _, rank = np.unique(x, return_inverse=True)
-    rank = rank.astype(np.int64)
-    sa = np.argsort(rank, kind="stable")
-    h = 1
-    while h < n and rank[sa[-1]] < n - 1:
-        key = rank * (n + 1)
-        key[: n - h] += rank[h:] + 1
-        sa = np.argsort(key)
-        k = key[sa]
-        rank = np.empty(n, dtype=np.int64)
-        rank[sa[1:]] = np.cumsum(k[1:] != k[:-1])
-        rank[sa[0]] = 0
-        h *= 2
-    return sa
-
-
 def _py_ints(a: np.ndarray):
     """The items of a as Python ints, converted one block at a time, so that no
     list of all n of them is ever held."""
     return chain.from_iterable(a[s : s + _BLOCK].tolist() for s in range(0, a.size, _BLOCK))
 
-def _lcp_array(x: np.ndarray, sa: np.ndarray) -> np.ndarray:
+
+def _lcp_array(x: np.ndarray, sa: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Kasai longest-common-prefix array; lcp[r] = lcp(suffix sa[r-1], suffix sa[r])."""
-    n = int(sa.size)
-    rank = np.empty(n, dtype=np.int64)
-    rank[sa] = np.arange(n)
-    prev = np.full(n, -1, dtype=np.int64)  # the suffix ranked just before each one
-    prev[rank > 0] = sa[rank[rank > 0] - 1]
+    prev = sa[rank - 1]  # the suffix ranked just before each one
+    prev[sa[0]] = -1
     xs = x.tolist()
     xs.append(-1)  # two distinct suffixes cannot both reach the sentinel
     plcp = array("q")  # indexed by text position
@@ -123,17 +96,36 @@ def _dense_rank(key: np.ndarray, size: int):
     return (np.cumsum(seen) - 1)[key], cnt[seen]
 
 
-def _final_gram_counts(sa, value, lb, rb, cnt, levels: int) -> np.ndarray:
+def _suffix_array(x: np.ndarray):
+    """(sa, rank): the suffix array by prefix doubling, O(n log n), and its inverse.
+
+    Round 0 ranks the symbols; each later round ranks the pair (rank of the
+    first h symbols, rank of the next h or none past the end), with the same
+    count-or-sort ranking as the gram ids, until every suffix has its own rank.
+    """
+    n = int(x.size)
+    rank, cnt = _dense_rank(x, int(x.max(initial=0)) + 1)
+    h = 1
+    while cnt.size < n:
+        G = cnt.size
+        key = rank * (G + 1)
+        key[: n - h] += rank[h:] + 1
+        rank, cnt = _dense_rank(key, G * (G + 1))
+        h *= 2
+    sa = np.empty(n, dtype=np.int64)
+    sa[rank] = np.arange(n)
+    return sa, rank
+
+
+def _final_gram_counts(rank, value, lb, rb, cnt, levels: int) -> np.ndarray:
     """s[l] = occurrences of the final l-gram of the text, for l < levels.
 
     A function of its own, so that its n-long temporaries are freed before the
     PPM pass builds its level sums.
     """
-    n = int(sa.size)
+    n = int(rank.size)
     s = np.ones(levels, dtype=np.int64)
     s[0] = n + 1
-    rank = np.empty(n, dtype=np.int64)
-    rank[sa] = np.arange(n)
     # the suffix of length v lies in a v-interval iff the final v-gram repeats
     r = rank[n - value]
     hit = (lb <= r) & (r <= rb)
@@ -199,8 +191,8 @@ class FrequencyIndex:
 
     Distinct k-grams are exposed as dense integer group ids per starting
     position; counts, vocabulary sizes and conditional entropies are all
-    derived from those. A suffix array with its LCP table, built once, backs
-    the maximal repetition and the PPM code lengths of every order.
+    derived from those. The inverse suffix array with its LCP table, built
+    once, backs the maximal repetition and the PPM code lengths of every order.
     """
 
     def __init__(self, seq: Sequence):
@@ -209,7 +201,7 @@ class FrequencyIndex:
         self._x = seq.ids
         self._gids: dict[int, np.ndarray] = {}
         self._gcounts: dict[int, np.ndarray] = {}
-        self._sa = None
+        self._rank = None  # inverse suffix array
         self._lcp = None
         self._maxrep = None
         self._ppm = None
@@ -285,8 +277,8 @@ class FrequencyIndex:
         if self.n < 1:
             raise ValueError("maximal repetition needs a non-empty sequence")
         if self._maxrep is None:
-            self._sa = _suffix_array(self._x)
-            self._lcp = _lcp_array(self._x, self._sa)
+            sa, self._rank = _suffix_array(self._x)
+            self._lcp = _lcp_array(self._x, sa, self._rank)
             self._maxrep = int(self._lcp.max()) if self.n > 1 else 0
         return self._maxrep
 
@@ -315,8 +307,8 @@ class FrequencyIndex:
         value, parent, lb, rb = _lcp_intervals(self._lcp)
         cnt = rb - lb + 1
         levels = L + 2
-        s = _final_gram_counts(self._sa, value, lb, rb, cnt, levels)
-        self._sa = self._lcp = None  # nothing else reads them
+        s = _final_gram_counts(self._rank, value, lb, rb, cnt, levels)
+        self._rank = self._lcp = None  # nothing else reads them
         # lgf[c] = log2(c!)
         lgf = np.zeros(n + D + 1, dtype=np.longdouble)
         np.cumsum(np.log2(np.arange(1, n + D + 1, dtype=np.longdouble)), out=lgf[1:])

@@ -27,7 +27,7 @@ from .codes import (
     ppm_log_measure,
     ppm_log_measure_closed,
 )
-from .mi import SplitPreconditionError, mi_bound_rhs, pointwise_mi
+from .mi import SplitPreconditionError, mi_bound_rhs
 from .orders import kt_order, universal_markov_order
 from .sequence import Sequence, uniform_alphabet
 from .sources import make_markov
@@ -193,18 +193,19 @@ def suite_h_forms(ws: Workspace) -> SuiteResult:
 def suite_ppm_closed_form(ws: Workspace) -> SuiteResult:
     """Incremental and factorial-product PPM log measures agree to 1e-9."""
     res = SuiteResult("ppm-closed-form", 0)
-    for x in ws.exhaustive():
-        for k in range(len(x) - 1):
+
+    def check(x: Sequence, kmax: int):
+        for k in range(kmax + 1):
             res.cases += 1
             a = ppm_log_measure(x, k)
             b = ppm_log_measure_closed(x, k)
             if abs(a - b) > 1e-9:
                 res.violations.append(f"PPM_{k}({_label(x)}): {a!r} vs {b!r}")
+
+    for x in ws.exhaustive():
+        check(x, len(x) - 2)
     for x in ws.random():
-        for k in range(min(6, len(x) - 2) + 1):
-            res.cases += 1
-            if abs(ppm_log_measure(x, k) - ppm_log_measure_closed(x, k)) > 1e-9:
-                res.violations.append(f"PPM_{k}(random n={len(x)}) mismatch")
+        check(x, min(6, len(x) - 2))
     return res
 
 
@@ -259,33 +260,24 @@ def suite_h_superadditivity(ws: Workspace) -> SuiteResult:
     """The three-part split of (m-k) h_k(x_1^m) over- or undershoots by at
     most log2 min(3, D)."""
     res = SuiteResult("h-superadditivity", 0)
+
+    def check(x: Sequence, nn: int, k: int):
+        res.cases += 1
+        v = _superadditivity_value(x, nn, k)
+        if not -EPS <= v <= math.log2(min(3, x.alphabet.size)) + EPS:
+            res.violations.append(f"superadditivity x={_label(x)} n={nn} k={k}: {v!r}")
+
     for x in ws.exhaustive():
         m = len(x)
-        bound = math.log2(min(3, x.alphabet.size))
         for nn in range(1, m):
             for k in range(min(nn, m - nn)):
-                res.cases += 1
-                v = _superadditivity_value(x, nn, k)
-                if not -EPS <= v <= bound + EPS:
-                    res.violations.append(
-                        f"superadditivity x={_label(x)} n={nn} k={k}: {v!r}"
-                    )
+                check(x, nn, k)
     rng = np.random.default_rng(ws.budget.random_seed + 1)
     for x in ws.random():
         m = len(x)
-        bound = math.log2(min(3, x.alphabet.size))
         for _ in range(ws.budget.samples_per_case):
             nn = int(rng.integers(1, m))
-            kcap = min(nn, m - nn)
-            if kcap == 0:
-                continue
-            k = int(rng.integers(0, kcap))
-            res.cases += 1
-            v = _superadditivity_value(x, nn, k)
-            if not -EPS <= v <= bound + EPS:
-                res.violations.append(
-                    f"superadditivity random n={nn} k={k} len={m}: {v!r}"
-                )
+            check(x, nn, int(rng.integers(0, min(nn, m - nn))))
     return res
 
 
@@ -477,21 +469,11 @@ def suite_mi_vocab_bound(ws: Workspace) -> SuiteResult:
                 )
 
     for x in ws.exhaustive():
-        if len(x) >= 2:
-            check(x, range(1, len(x)))
+        check(x, range(1, len(x)))
     rng = np.random.default_rng(ws.budget.random_seed + 2)
     for x in ws.random()[: ws.budget.mi_random_cases]:
         m = len(x)
-        splits = sorted({int(rng.integers(1, m)) for _ in range(ws.budget.samples_per_case)})
-        for nn in splits:
-            try:
-                rhs = mi_bound_rhs(x, nn, ws.ppm)
-            except SplitPreconditionError:
-                continue
-            res.cases += 1
-            I = pointwise_mi(x, nn, ws.ppm)
-            if I > rhs + EPS:
-                res.violations.append(f"MI bound random split={nn} len={m}: {I!r} > {rhs!r}")
+        check(x, sorted({int(rng.integers(1, m)) for _ in range(ws.budget.samples_per_case)}))
     return res
 
 

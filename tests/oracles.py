@@ -52,6 +52,11 @@ def maxrep_oracle(ids) -> int:
     return best
 
 
+def suffix_array_oracle(ids) -> list:
+    ids = list(ids)
+    return sorted(range(len(ids)), key=lambda i: ids[i:])
+
+
 def h_position_oracle(ids, k: int) -> float:
     ids = list(ids)
     n = len(ids)

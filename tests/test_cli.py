@@ -237,7 +237,7 @@ def test_simulate_budget_error_is_config_error(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["estimate", "profile"])
+@pytest.mark.parametrize("command", ["profile"])
 def test_negative_kmax_is_config_error(capsys, sample_file, command):
     code, out, err = run_cli(capsys, command, "--kmax", "-5", sample_file)
     assert code == 3
@@ -245,7 +245,7 @@ def test_negative_kmax_is_config_error(capsys, sample_file, command):
     assert "--kmax" in err and ">= 0" in err
 
 
-@pytest.mark.parametrize("command", ["estimate", "profile", "simulate"])
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
 def test_jobs_below_one_is_config_error(capsys, sample_file, command):
     rest = ["--n", "100", "--trials", "1"] if command == "simulate" else [sample_file]
     argv = [command, *rest]
@@ -254,6 +254,25 @@ def test_jobs_below_one_is_config_error(capsys, sample_file, command):
         assert code == 3
         assert out == ""
         assert "--jobs" in err and ">= 1" in err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("estimate", "--kmax", "3"), ("profile", "--backend", "lz78"), ("profile", "--jobs", "2"),
+])
+def test_removed_flags_are_config_errors(capsys, sample_file, command, flag, value):
+    code, out, err = run_cli(capsys, command, flag, value, sample_file)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("mol: invalid config:") and flag in err
+
+
+def test_simulate_backend_abbreviates_backends(capsys):
+    # simulate has no --backend of its own, so argparse reads it as --backends
+    code, out, _ = run_cli(capsys, "simulate", "--backend", "lz78", "--n", "100",
+                           "--trials", "1", "--format", "csv")
+    assert code == 0
+    assert "backend=lz78 " in out.splitlines()[1]
+    assert {line.split(",")[1] for line in out.splitlines()[3:]} == {"lz78"}
 
 
 def test_profile_zero_block_is_config_error(capsys, sample_file):
@@ -266,6 +285,7 @@ def test_profile_zero_block_is_config_error(capsys, sample_file):
 @pytest.mark.parametrize("flag, value, low", [
     ("--nmax", "-1", 1), ("--nmax", "0", 1), ("--cases", "-5", 0),
     ("--random-nmax", "4", 8), ("--random-dmax", "1", 2), ("--d", "1", 2),
+    ("--kraft-nmax", "0", 1), ("--kraft-nmax", "-3", 1),
 ])
 def test_verify_budget_flags_are_validated(capsys, flag, value, low):
     code, out, err = run_cli(capsys, "verify", "--suite", "kraft", flag, value)

@@ -159,14 +159,6 @@ def test_renyi_validation():
         fair_coin().renyi_block_entropy(0)
 
 
-def test_oracles_bundle():
-    src = sticky_chain(0.9)
-    bundle = src.oracles(3, block_lengths=(1, 4))
-    assert len(bundle.cond_entropies) == 4
-    assert bundle.entropy_rate == pytest.approx(binary_entropy(0.9), abs=1e-12)
-    assert set(bundle.renyi) == {1, 4}
-
-
 # -- consistency experiment ---------------------------------------------------------
 
 

@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mol import build_index, ingest, stats
 
@@ -14,6 +14,7 @@ from oracles import (
     h_vocab_oracle,
     maxrep_oracle,
     seq,
+    suffix_array_oracle,
     vocab_oracle,
 )
 
@@ -88,6 +89,23 @@ def test_gram_ids_match_stacked_rows_in_both_rank_branches(data):
             assert idx.gram_ids(k).tolist() == ref_ids
             assert idx.gram_counts(k).tolist() == ref_counts
     assert len(sorted_lengths) == (len(ids) if wide else 0)
+
+
+@st.composite
+def _narrow_or_wide_ids(draw):
+    # D <= 4 keeps the first doubling rounds within the count table; symbols
+    # up to D >= 300 over a short string exceed it, so round 0 sorts as well
+    D = draw(st.integers(2, 4) | st.integers(300, 600))
+    return draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=200))
+
+
+@given(_narrow_or_wide_ids())
+@example([0] * 100)
+@example([0, 1, 2, 0, 1, 3] * 30)
+def test_suffix_array_matches_oracle(ids):
+    sa, rank = stats._suffix_array(np.array(ids, dtype=np.int64))
+    assert sa.tolist() == suffix_array_oracle(ids)
+    assert rank[sa].tolist() == list(range(len(ids)))
 
 
 # -- vocabulary and maximal repetition ---------------------------------------
