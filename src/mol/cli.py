@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ._version import __version__
-from .codes import KRAFT_ENUM_GUARD, BudgetError, make_code
+from .codes import BACKENDS, KRAFT_ENUM_GUARD, BudgetError, make_code
 from .mi import mi_profile
 from .orders import kt_order, mgz_order, ram_test, universal_markov_order
 from .sequence import ingest
@@ -287,6 +287,9 @@ def _build_source(args):
                        label=f"random-order{args.order}-d{args.d}")
 
 
+ESTIMATORS = ("universal", "kt", "mgz")
+
+
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     src = _build_source(args)
@@ -296,7 +299,15 @@ def _cmd_simulate(args) -> int:
     if any(n < 1 for n in lengths):
         raise ConfigError(f"--n lengths must be >= 1, got {args.n!r}")
     estimators = tuple(part for part in args.estimators.split(",") if part)
+    if not set(estimators) <= set(ESTIMATORS):
+        raise ConfigError(
+            f"--estimators must name some of {', '.join(ESTIMATORS)}, got {args.estimators!r}"
+        )
     backends = tuple(part for part in args.backends.split(",") if part)
+    if not backends or not set(backends) <= set(BACKENDS):
+        raise ConfigError(
+            f"--backends must name some of {', '.join(BACKENDS)}, got {args.backends!r}"
+        )
     config = ExperimentConfig(
         lengths=lengths,
         trials=args.trials,

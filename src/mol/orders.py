@@ -86,8 +86,8 @@ def kt_order(x: Sequence) -> int:
 
 def mgz_order(x: Sequence, lam: float) -> int:
     """Least k with h_k(x) <= LZ78(x)/n + lambda (raw parse cost, no correction)."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
     n = len(x)
     if n == 0:
         return 0

@@ -122,24 +122,11 @@ class Sequence:
 
 
 def _pad_tokens(existing: set, kind: str, needed: int) -> list:
-    """Reserved filler tokens so inferred alphabets always reach size 2."""
-    out = []
-    if kind == "bytes":
-        candidate = 0
-        while len(out) < needed:
-            if candidate not in existing:
-                out.append(candidate)
-            candidate += 1
-            if candidate > 255:
-                raise AlphabetError("no free byte value available for padding")
-    else:
-        i = 0
-        while len(out) < needed:
-            token = f"<pad{i}>"
-            if token not in existing:
-                out.append(token)
-            i += 1
-    return out
+    """Reserved filler tokens so inferred alphabets always reach size 2: the
+    first `needed` of 0, 1, 2 (bytes) or <pad0>, <pad1>, <pad2> (tokens) not
+    already present. At most one token exists, so three candidates suffice."""
+    candidates = range(3) if kind == "bytes" else [f"<pad{i}>" for i in range(3)]
+    return [t for t in candidates if t not in existing][:needed]
 
 
 def ingest(data, mode: str = "bytes", alphabet: Iterable | None = None) -> Sequence:

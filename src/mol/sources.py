@@ -19,6 +19,7 @@ from .sequence import Sequence, uniform_alphabet
 
 STATE_GUARD = 1 << 20
 RNG_ALGORITHM = "numpy-pcg64"
+MIN_PROB = 1e-3  # floor of every randomly generated transition probability
 
 
 class SourceError(ValueError):
@@ -225,15 +226,14 @@ def make_markov(
     transition=None,
     seed=None,
     concentration: float = 1.0,
-    min_prob: float = 1e-3,
     label: str = "",
 ) -> SourceModel:
     """Order-M Markov source over D symbols, from a table or a random seed.
 
     Random generation draws Gamma(concentration) weights per row and mixes in
-    a uniform floor so every entry is at least min_prob, which keeps the chain
-    ergodic and the entropy rate bounded away from zero. Reducible or periodic
-    chains are rejected.
+    a uniform floor so every entry is at least MIN_PROB, which keeps the chain
+    ergodic and the entropy rate bounded away from zero. Non-finite tables and
+    reducible or periodic chains are rejected.
     """
     if D < 2:
         raise SourceError("alphabet size must be >= 2")
@@ -247,11 +247,16 @@ def make_markov(
     else:
         if seed is None:
             raise SourceError("random generation needs a seed")
+        if not 0 < concentration < math.inf:
+            raise SourceError(f"concentration must be finite and positive, got {concentration!r}")
         rng = np.random.default_rng(seed)
         raw = rng.gamma(concentration, size=(S, D))
-        raw /= raw.sum(axis=1, keepdims=True)
-        T = (1.0 - D * min_prob) * raw + min_prob
+        with np.errstate(invalid="ignore"):  # rows that underflow to 0 become NaN
+            raw /= raw.sum(axis=1, keepdims=True)
+        T = (1.0 - D * MIN_PROB) * raw + MIN_PROB
         T /= T.sum(axis=1, keepdims=True)
+    if not np.isfinite(T).all():
+        raise SourceError("transition probabilities must be finite")
     _check_ergodic(T, D)
     pi = _stationary_of(T, D)
     return SourceModel(kind="markov" if order > 0 else "iid", order=order,

@@ -1,12 +1,13 @@
 """Invariant suites: exhaustive small-alphabet checks plus randomized cases.
 
-Each suite returns a SuiteResult with the number of cases checked and any
-counterexamples found. The CLI `verify` command and the acceptance tests run
-the same battery at different budgets.
+Each suite yields one (ok, detail) pair per case; `_suite` turns it into a
+SuiteResult runner and registers it in SUITES in file order. The CLI `verify`
+command and the acceptance tests run the same battery at different budgets.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,6 +36,8 @@ from .stats import build_index
 
 EPS = 1e-9
 FORM_TOL = 1e-12
+SAMPLES_PER_CASE = 3  # random splits drawn per random string
+MI_RANDOM_CASES = 1000  # random strings the MI suite visits
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,6 @@ class VerifyBudget:
     random_max_n: int = 512
     random_max_alphabet: int = 4
     random_seed: int = 20260810
-    samples_per_case: int = 3
-    mi_random_cases: int = 1000
 
 
 @dataclass
@@ -106,6 +107,7 @@ class Workspace:
         self.lz78 = Lz78Code()
         self._exhaustive: list[Sequence] | None = None
         self._random: list[Sequence] | None = None
+        self._drop: list | None = None
         self._H: dict = {}
         self._reports: dict = {}
 
@@ -145,6 +147,26 @@ class Workspace:
             self._random = out
         return self._random
 
+    def k_ranges(self) -> list:
+        """(x, kmax) for suites over k = 0..kmax: n - 2 on exhaustive strings,
+        min(L + 2, n - 2) on random ones, L the maximal repetition."""
+        return [(x, len(x) - 2) for x in self.exhaustive()] + [
+            (x, min(build_index(x).max_repetition() + 2, len(x) - 2)) for x in self.random()
+        ]
+
+    def drop_cases(self) -> list:
+        """(x, k, h_k(x), h_{k+1}(x), h_k(x_2^n)) for the step- and prefix-drop suites."""
+        if self._drop is None:
+            self._drop = []
+            for x, kmax in self.k_ranges():
+                idx = build_index(x)
+                for k in range(kmax + 1):
+                    # window first: h_{k+1} refines length k + 2 and prunes length k
+                    h_tail = idx.window_cond_entropy(k, 1, len(x))
+                    h_next = idx.cond_entropy(k + 1)
+                    self._drop.append((x, k, idx.cond_entropy(k), h_next, h_tail))
+        return self._drop
+
     def code(self, name: str) -> CodeLengthFunction:
         return self.ppm if name == "ppm" else self.lz78
 
@@ -165,81 +187,77 @@ class Workspace:
 
 # -- suites ------------------------------------------------------------------
 
+SUITES: dict = {}
 
-def suite_h_forms(ws: Workspace) -> SuiteResult:
+
+def _suite(name: str):
+    """Register a case generator as suite(ws, ...) -> SuiteResult. detail() runs only
+    for a failing case and before the generator resumes, so it may read loop variables."""
+
+    def register(cases):
+        @functools.wraps(cases)
+        def run(ws: Workspace, *args, **kwargs) -> SuiteResult:
+            res = SuiteResult(name, 0)
+            for ok, detail in cases(ws, *args, **kwargs):
+                res.cases += 1
+                if not ok:
+                    res.violations.append(detail())
+            return res
+
+        SUITES[name] = run
+        return run
+
+    return register
+
+
+@_suite("h-forms")
+def suite_h_forms(ws: Workspace):
     """Position-sum and vocabulary-sum forms of h_k agree with the index."""
-    res = SuiteResult("h-forms", 0)
     for x in ws.exhaustive():
         idx = build_index(x)
         for k in range(len(x)):
-            res.cases += 1
             lib = idx.cond_entropy(k)
             pos = naive_h_position_form(x, k)
             voc = naive_h_vocab_form(x, k)
-            if abs(lib - pos) > FORM_TOL or abs(lib - voc) > FORM_TOL:
-                res.violations.append(
-                    f"h_{k}({_label(x)}): index={lib!r} position={pos!r} vocab={voc!r}"
-                )
+            ok = abs(lib - pos) <= FORM_TOL and abs(lib - voc) <= FORM_TOL
+            yield ok, lambda: f"h_{k}({_label(x)}): index={lib!r} position={pos!r} vocab={voc!r}"
     for x in ws.random():
         idx = build_index(x)
         for k in range(min(3, len(x) - 1) + 1):
-            res.cases += 1
             pos = naive_h_position_form(x, k)
-            if abs(idx.cond_entropy(k) - pos) > FORM_TOL:
-                res.violations.append(f"h_{k}(random n={len(x)}) mismatch")
-    return res
+            ok = abs(idx.cond_entropy(k) - pos) <= FORM_TOL
+            yield ok, lambda: f"h_{k}(random n={len(x)}) mismatch"
 
 
-def suite_ppm_closed_form(ws: Workspace) -> SuiteResult:
+@_suite("ppm-closed-form")
+def suite_ppm_closed_form(ws: Workspace):
     """Incremental and factorial-product PPM log measures agree to 1e-9."""
-    res = SuiteResult("ppm-closed-form", 0)
-
-    def check(x: Sequence, kmax: int):
+    strings = [(x, len(x) - 2) for x in ws.exhaustive()]
+    strings += [(x, min(6, len(x) - 2)) for x in ws.random()]
+    for x, kmax in strings:
         for k in range(kmax + 1):
-            res.cases += 1
             a = ppm_log_measure(x, k)
             b = ppm_log_measure_closed(x, k)
-            if abs(a - b) > 1e-9:
-                res.violations.append(f"PPM_{k}({_label(x)}): {a!r} vs {b!r}")
-
-    for x in ws.exhaustive():
-        check(x, len(x) - 2)
-    for x in ws.random():
-        check(x, min(6, len(x) - 2))
-    return res
+            yield abs(a - b) <= 1e-9, lambda: f"PPM_{k}({_label(x)}): {a!r} vs {b!r}"
 
 
-def _step_drop_cases(ws: Workspace):
-    """(x, k, index of x, h_k of the tail x_2^n) for the step- and prefix-drop suites."""
-    strings = [(x, len(x) - 2) for x in ws.exhaustive() if len(x) >= 2]
-    strings += [(x, min(build_index(x).max_repetition() + 2, len(x) - 2)) for x in ws.random()]
-    for x, kmax in strings:
-        idx = build_index(x)
-        for k in range(kmax + 1):
-            yield x, k, idx, idx.window_cond_entropy(k, 1, len(x))
-
-
-def suite_h_step_drop(ws: Workspace) -> SuiteResult:
+@_suite("h-step-drop")
+def suite_h_step_drop(ws: Workspace):
     """0 <= h_k(x_2^n) - h_{k+1}(x_1^n) <= log2 D."""
-    res = SuiteResult("h-step-drop", 0)
-    for x, k, idx, h_tail in _step_drop_cases(ws):
-        res.cases += 1
-        v = h_tail - idx.cond_entropy(k + 1)
-        if not -EPS <= v <= math.log2(x.alphabet.size) + EPS:
-            res.violations.append(f"step drop k={k} x={_label(x)}: {v!r}")
-    return res
+    for x, k, _, h_next, h_tail in ws.drop_cases():
+        v = h_tail - h_next
+        ok = -EPS <= v <= math.log2(x.alphabet.size) + EPS
+        yield ok, lambda: f"step drop k={k} x={_label(x)}: {v!r}"
 
 
-def suite_h_prefix_drop(ws: Workspace) -> SuiteResult:
+@_suite("h-prefix-drop")
+def suite_h_prefix_drop(ws: Workspace):
     """0 <= h_k(x_1^n) - ((n-1-k)/(n-k)) h_k(x_2^n) <= log2 min(2, D)."""
-    res = SuiteResult("h-prefix-drop", 0)
-    for x, k, idx, h_tail in _step_drop_cases(ws):
+    for x, k, h, _, h_tail in ws.drop_cases():
         n = len(x)
-        res.cases += 1
-        v = idx.cond_entropy(k) - (n - 1 - k) / (n - k) * h_tail
-        if not -EPS <= v <= math.log2(min(2, x.alphabet.size)) + EPS:
-            res.violations.append(f"prefix drop k={k} x={_label(x)}: {v!r}")
-    return res
+        v = h - (n - 1 - k) / (n - k) * h_tail
+        ok = -EPS <= v <= math.log2(min(2, x.alphabet.size)) + EPS
+        yield ok, lambda: f"prefix drop k={k} x={_label(x)}: {v!r}"
 
 
 def _superadditivity_value(x: Sequence, nn: int, k: int) -> float:
@@ -256,60 +274,56 @@ def _superadditivity_value(x: Sequence, nn: int, k: int) -> float:
     return v
 
 
-def suite_h_superadditivity(ws: Workspace) -> SuiteResult:
+@_suite("h-superadditivity")
+def suite_h_superadditivity(ws: Workspace):
     """The three-part split of (m-k) h_k(x_1^m) over- or undershoots by at
     most log2 min(3, D)."""
-    res = SuiteResult("h-superadditivity", 0)
 
     def check(x: Sequence, nn: int, k: int):
-        res.cases += 1
         v = _superadditivity_value(x, nn, k)
-        if not -EPS <= v <= math.log2(min(3, x.alphabet.size)) + EPS:
-            res.violations.append(f"superadditivity x={_label(x)} n={nn} k={k}: {v!r}")
+        ok = -EPS <= v <= math.log2(min(3, x.alphabet.size)) + EPS
+        yield ok, lambda: f"superadditivity x={_label(x)} n={nn} k={k}: {v!r}"
 
     for x in ws.exhaustive():
         m = len(x)
         for nn in range(1, m):
             for k in range(min(nn, m - nn)):
-                check(x, nn, k)
+                yield from check(x, nn, k)
     rng = np.random.default_rng(ws.budget.random_seed + 1)
     for x in ws.random():
         m = len(x)
-        for _ in range(ws.budget.samples_per_case):
+        for _ in range(SAMPLES_PER_CASE):
             nn = int(rng.integers(1, m))
-            check(x, nn, int(rng.integers(0, min(nn, m - nn))))
-    return res
+            yield from check(x, nn, int(rng.integers(0, min(nn, m - nn))))
 
 
-def suite_weighted_monotone(ws: Workspace) -> SuiteResult:
+@_suite("weighted-monotone")
+def suite_weighted_monotone(ws: Workspace):
     """(n-k) h_k is non-increasing in k, and h_k = 0 beyond the maximal
     repetition length."""
-    res = SuiteResult("weighted-monotone", 0)
 
     def check(x: Sequence, kmax: int, L: int):
         idx = build_index(x)
         n = len(x)
-        prev = None
+        prev = math.inf
         for k in range(kmax + 1):
-            res.cases += 1
             w = (n - k) * idx.cond_entropy(k)
-            if prev is not None and w > prev + EPS:
-                res.violations.append(f"weighted h up at k={k} x={_label(x)}")
+            found = [f"weighted h up at k={k} x={_label(x)}"] if w > prev + EPS else []
             if k > L and w != 0.0:
-                res.violations.append(f"h_{k} nonzero beyond L={L} x={_label(x)}")
+                found.append(f"h_{k} nonzero beyond L={L} x={_label(x)}")
+            yield not found, lambda: "; ".join(found)
             prev = w
 
     for x in ws.exhaustive():
-        check(x, len(x) - 1, build_index(x).max_repetition())
+        yield from check(x, len(x) - 1, build_index(x).max_repetition())
     for x in ws.random():
         L = build_index(x).max_repetition()
-        check(x, min(L + 2, len(x) - 1), L)
-    return res
+        yield from check(x, min(L + 2, len(x) - 1), L)
 
 
-def suite_h_series_bound(ws: Workspace) -> SuiteResult:
+@_suite("h-series-bound")
+def suite_h_series_bound(ws: Workspace):
     """sum_l h_l(x_1^{n+l}) <= log2 n for every prefix decomposition."""
-    res = SuiteResult("h-series-bound", 0)
 
     def check(x: Sequence, splits):
         # l runs upward once over all splits: gram ids of lengths above
@@ -322,138 +336,102 @@ def suite_h_series_bound(ws: Workspace) -> SuiteResult:
                     terms[nn].append(idx.window_cond_entropy(l, 0, nn + l))
         for nn, _ in splits:
             total = math.fsum(terms[nn])
-            res.cases += 1
-            if total > math.log2(nn) + EPS:
-                res.violations.append(
-                    f"series bound n={nn} x={_label(x)}: {total!r} > log2 {nn}"
-                )
+            ok = total <= math.log2(nn) + EPS
+            yield ok, lambda: f"series bound n={nn} x={_label(x)}: {total!r} > log2 {nn}"
 
     for x in ws.exhaustive():
-        check(x, [(nn, len(x) - nn) for nn in range(1, len(x) + 1)])
+        yield from check(x, [(nn, len(x) - nn) for nn in range(1, len(x) + 1)])
     for x in ws.random():
         m = len(x)
         L = build_index(x).max_repetition()
         # terms beyond the maximal repetition length vanish
         splits = {max(1, m - L - 1), max(1, m // 2), m}
-        check(x, [(nn, min(m - nn, L + 1)) for nn in splits])
-    return res
+        yield from check(x, [(nn, min(m - nn, L + 1)) for nn in splits])
 
 
-def suite_maxrep_lower_bound(ws: Workspace) -> SuiteResult:
+@_suite("maxrep-lower-bound")
+def suite_maxrep_lower_bound(ws: Workspace):
     """L(x_1^n) >= log_D(n - log_D n) - 1."""
-    res = SuiteResult("maxrep-lower-bound", 0)
     for x in ws.exhaustive() + ws.random():
         n = len(x)
         D = x.alphabet.size
-        res.cases += 1
         floor = math.log(n - math.log(n, D), D) - 1.0
         L = build_index(x).max_repetition()
-        if L < floor - EPS:
-            res.violations.append(f"L={L} < {floor!r} for {_label(x)}")
-    return res
+        yield L >= floor - EPS, lambda: f"L={L} < {floor!r} for {_label(x)}"
 
 
-def suite_code_monotone(ws: Workspace) -> SuiteResult:
+@_suite("code-length-monotone")
+def suite_code_monotone(ws: Workspace):
     """A pointwise-larger code length can only lower the universal order."""
-    res = SuiteResult("code-length-monotone", 0)
     shifted = [OffsetCode(ws.ppm, c) for c in (1.0, 10.0)]
     for x in ws.exhaustive() + ws.random():
-        res.cases += 1
         m_plain = ws.order("ppm", x).estimate
         m_1 = universal_markov_order(x, shifted[0]).estimate
         m_10 = universal_markov_order(x, shifted[1]).estimate
-        if not m_plain >= m_1 >= m_10:
-            res.violations.append(
-                f"orders not monotone in code length for {_label(x)}: "
-                f"{m_plain}, {m_1}, {m_10}"
-            )
-    return res
+        yield m_plain >= m_1 >= m_10, lambda: (
+            f"orders not monotone in code length for {_label(x)}: {m_plain}, {m_1}, {m_10}"
+        )
 
 
-def suite_order_le_maxrep(ws: Workspace) -> SuiteResult:
+@_suite("order-le-maxrep")
+def suite_order_le_maxrep(ws: Workspace):
     """Universal order is at most the maximal repetition length plus one."""
-    res = SuiteResult("order-le-maxrep", 0)
     for x in ws.exhaustive() + ws.random():
         L = build_index(x).max_repetition()
         for backend in ("ppm", "lz78"):
-            res.cases += 1
             M = ws.order(backend, x).estimate
-            if M > L + 1:
-                res.violations.append(f"{backend}: M={M} > L+1={L + 1} for {_label(x)}")
-    return res
+            yield M <= L + 1, lambda: f"{backend}: M={M} > L+1={L + 1} for {_label(x)}"
 
 
-def suite_order_le_kt(ws: Workspace) -> SuiteResult:
+@_suite("order-le-kt")
+def suite_order_le_kt(ws: Workspace):
     """Universal order (PPM backend) never exceeds the KT order."""
-    res = SuiteResult("order-le-kt", 0)
     for x in ws.exhaustive() + ws.random():
-        res.cases += 1
         M = ws.order("ppm", x).estimate
         K = kt_order(x)
-        if M > K:
-            res.violations.append(f"M={M} > K={K} for {_label(x)}")
-    return res
+        yield M <= K, lambda: f"M={M} > K={K} for {_label(x)}"
 
 
-def suite_order_log_bound(ws: Workspace) -> SuiteResult:
+@_suite("order-log-bound")
+def suite_order_log_bound(ws: Workspace):
     """M(x)/log2 n < n/H(x) strictly, for n >= 2."""
-    res = SuiteResult("order-log-bound", 0)
     for x in ws.exhaustive() + ws.random():
         n = len(x)
         if n < 2:
             continue
         for backend in ("ppm", "lz78"):
-            res.cases += 1
             rep = ws.order(backend, x)
-            if not rep.estimate / math.log2(n) < n / rep.H_bits:
-                res.violations.append(
-                    f"{backend}: M/log n >= n/H for {_label(x)} (M={rep.estimate})"
-                )
-    return res
+            ok = rep.estimate / math.log2(n) < n / rep.H_bits
+            yield ok, lambda: f"{backend}: M/log n >= n/H for {_label(x)} (M={rep.estimate})"
 
 
-def suite_kraft(ws: Workspace, codes=None) -> SuiteResult:
+@_suite("kraft")
+def suite_kraft(ws: Workspace, codes=None):
     """Kraft sums of both backends stay at most one at every length."""
-    res = SuiteResult("kraft", 0)
     codes = codes if codes is not None else [ws.ppm, ws.lz78]
     D = ws.budget.alphabet_size
     for code in codes:
         for n in range(1, ws.budget.kraft_max_n + 1):
-            res.cases += 1
             total = kraft_sum(code, n, D)
-            if total > 1.0 + EPS:
-                res.violations.append(f"{code.name}: Kraft sum {total!r} > 1 at n={n}")
-    return res
+            yield total <= 1.0 + EPS, lambda: f"{code.name}: Kraft sum {total!r} > 1 at n={n}"
 
 
-def suite_ppm_gap_sandwich(ws: Workspace) -> SuiteResult:
+@_suite("ppm-gap-sandwich")
+def suite_ppm_gap_sandwich(ws: Workspace):
     """The normalized PPM redundancy gap lies in [-log2 (1/D)!, log2(e^2 n)]."""
-    res = SuiteResult("ppm-gap-sandwich", 0)
-
-    def check(x: Sequence, ks):
-        n = len(x)
+    for x, kmax in ws.k_ranges():
         lo = ppm_gap_lower(x.alphabet.size)
-        hi = ppm_gap_upper(n)
-        for k in ks:
-            res.cases += 1
+        hi = ppm_gap_upper(len(x))
+        for k in range(kmax + 1):
             gap = ppm_bound_gap(x, k)
-            if not lo - EPS <= gap <= hi + EPS:
-                res.violations.append(
-                    f"gap k={k} x={_label(x)}: {gap!r} outside [{lo!r}, {hi!r}]"
-                )
-
-    for x in ws.exhaustive():
-        check(x, range(len(x) - 1))
-    for x in ws.random():
-        L = build_index(x).max_repetition()
-        check(x, range(min(L + 2, len(x) - 2) + 1))
-    return res
+            ok = lo - EPS <= gap <= hi + EPS
+            yield ok, lambda: f"gap k={k} x={_label(x)}: {gap!r} outside [{lo!r}, {hi!r}]"
 
 
-def suite_mi_vocab_bound(ws: Workspace) -> SuiteResult:
+@_suite("mi-vocab-bound")
+def suite_mi_vocab_bound(ws: Workspace):
     """Split MI under the PPM semi-distribution respects the vocabulary bound
     whenever the order precondition holds."""
-    res = SuiteResult("mi-vocab-bound", 0)
 
     def check(x: Sequence, splits):
         for nn in splits:
@@ -461,26 +439,22 @@ def suite_mi_vocab_bound(ws: Workspace) -> SuiteResult:
                 rhs = mi_bound_rhs(x, nn, ws.ppm)
             except SplitPreconditionError:
                 continue
-            res.cases += 1
             I = ws.H("ppm", x.slice(1, nn)) + ws.H("ppm", x.slice(nn + 1, len(x))) - ws.H("ppm", x)
-            if I > rhs + EPS:
-                res.violations.append(
-                    f"MI bound split={nn} x={_label(x)}: I={I!r} > rhs={rhs!r}"
-                )
+            ok = I <= rhs + EPS
+            yield ok, lambda: f"MI bound split={nn} x={_label(x)}: I={I!r} > rhs={rhs!r}"
 
     for x in ws.exhaustive():
-        check(x, range(1, len(x)))
+        yield from check(x, range(1, len(x)))
     rng = np.random.default_rng(ws.budget.random_seed + 2)
-    for x in ws.random()[: ws.budget.mi_random_cases]:
+    for x in ws.random()[:MI_RANDOM_CASES]:
         m = len(x)
-        check(x, sorted({int(rng.integers(1, m)) for _ in range(ws.budget.samples_per_case)}))
-    return res
+        yield from check(x, sorted({int(rng.integers(1, m)) for _ in range(SAMPLES_PER_CASE)}))
 
 
-def suite_ppm_identities(ws: Workspace) -> SuiteResult:
+@_suite("ppm-identities")
+def suite_ppm_identities(ws: Workspace):
     """Per-position normalization of PPM_k, and the uniform-measure identities
     PPM_k(x) = D^-n for k > n-2 and for any k above the maximal repetition."""
-    res = SuiteResult("ppm-identities", 0)
     rng = np.random.default_rng(ws.budget.random_seed + 3)
     alphas = {d: uniform_alphabet(d) for d in range(2, ws.budget.random_max_alphabet + 1)}
     for _ in range(60):
@@ -494,36 +468,13 @@ def suite_ppm_identities(ws: Workspace) -> SuiteResult:
                 ids = x.ids.copy()
                 ids[i - 1] = a
                 total += ppm_cond(Sequence(ids, x.alphabet), i, k)
-            res.cases += 1
-            if abs(total - 1.0) > 1e-12:
-                res.violations.append(f"PPM_{k} not normalized at i={i}, n={n}: {total!r}")
+            ok = abs(total - 1.0) <= 1e-12
+            yield ok, lambda: f"PPM_{k} not normalized at i={i}, n={n}: {total!r}"
         L = build_index(x).max_repetition()
         uniform = n * math.log2(D)
         for k in (L + 1, L + 5, n - 1, n + 3):
-            res.cases += 1
-            if abs(ppm_log_measure(x, k) - uniform) > 1e-9:
-                res.violations.append(f"PPM_{k} not uniform beyond L={L}, n={n}")
-    return res
-
-
-SUITES = {
-    "h-forms": suite_h_forms,
-    "ppm-closed-form": suite_ppm_closed_form,
-    "h-step-drop": suite_h_step_drop,
-    "h-prefix-drop": suite_h_prefix_drop,
-    "h-superadditivity": suite_h_superadditivity,
-    "weighted-monotone": suite_weighted_monotone,
-    "h-series-bound": suite_h_series_bound,
-    "maxrep-lower-bound": suite_maxrep_lower_bound,
-    "code-length-monotone": suite_code_monotone,
-    "order-le-maxrep": suite_order_le_maxrep,
-    "order-le-kt": suite_order_le_kt,
-    "order-log-bound": suite_order_log_bound,
-    "kraft": suite_kraft,
-    "ppm-gap-sandwich": suite_ppm_gap_sandwich,
-    "mi-vocab-bound": suite_mi_vocab_bound,
-    "ppm-identities": suite_ppm_identities,
-}
+            ok = abs(ppm_log_measure(x, k) - uniform) <= 1e-9
+            yield ok, lambda: f"PPM_{k} not uniform beyond L={L}, n={n}"
 
 
 def run_suites(names=None, budget: VerifyBudget | None = None) -> list[SuiteResult]:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import mol.cli
 import mol.sources
 from mol.cli import main
 from mol.codes import CodeLengthFunction
@@ -190,6 +191,33 @@ def test_trial_invariant_error_pickles():
     back = pickle.loads(pickle.dumps(err))
     assert back.args == (300, (2, 0, 1), "order above KT")
     assert str(back) == str(err)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--estimators", "universal,bogus"), ("--backends", ","), ("--backends", "ppm,zip"),
+])
+def test_simulate_unknown_names_fail_before_any_trial(capsys, monkeypatch, flag, value):
+    monkeypatch.setattr(mol.cli, "consistency_experiment", lambda *a: pytest.fail("trial ran"))
+    code, out, err = run_cli(capsys, "simulate", "--n", "100", "--trials", "1", flag, value)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("mol: invalid config:") and err.count("\n") == 1
+    assert flag in err and repr(value) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--backend", "lz78", "--mgz", "nan"],
+    ["simulate", "--order", "1", "--concentration", "0", "--n", "50", "--trials", "1"],
+    ["simulate", "--order", "1", "--concentration", "nan", "--n", "50", "--trials", "1"],
+])
+def test_nan_and_zero_parameters_are_config_errors(sample_file, argv):
+    # a subprocess, so that a numpy RuntimeWarning would show on the real stderr
+    if argv[0] == "estimate":
+        argv = argv + [sample_file]
+    proc = subprocess.run([sys.executable, "-m", "mol", *argv], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("mol: invalid config:") and proc.stderr.count("\n") == 1
 
 
 def test_simulate_bad_source_flags(capsys):

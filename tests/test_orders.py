@@ -122,8 +122,9 @@ def test_mgz_examples():
     idx = build_index(x)
     brute = next(k for k in range(len(x)) if idx.cond_entropy(k) <= threshold)
     assert mgz_order(x, lam) == brute
-    with pytest.raises(ValueError):
-        mgz_order(x, 0.0)
+    for bad in (0.0, float("nan"), math.inf):
+        with pytest.raises(ValueError):
+            mgz_order(x, bad)
 
 
 @given(binary_ids, st.floats(0.01, 2.0))

@@ -32,6 +32,13 @@ def test_ingest_constant_input_pads_alphabet():
     assert x.render() == b"aaaa"
 
 
+def test_ingest_pads_with_the_first_free_reserved_tokens():
+    x = ingest("<pad0> <pad0>", mode="tokens")
+    assert x.alphabet.tokens == ("<pad0>", "<pad1>")
+    assert x.ids.tolist() == [0, 0]
+    assert ingest("", mode="tokens").alphabet.tokens == ("<pad0>", "<pad1>")
+
+
 def test_ingest_explicit_mode():
     x = ingest("a b a", mode="explicit", alphabet=["a", "b", "c"])
     assert x.ids.tolist() == [0, 1, 0]

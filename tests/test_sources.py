@@ -65,6 +65,13 @@ def test_invalid_rows_rejected():
         make_markov(2, 1, transition=[[0.7, 0.2], [0.5, 0.5]])
     with pytest.raises(SourceError):
         make_markov(2, 1, transition=[[1.2, -0.2], [0.5, 0.5]])
+    with pytest.raises(SourceError):
+        make_markov(2, 1, transition=[[float("nan"), float("nan")], [0.5, 0.5]])
+    with pytest.raises(SourceError):
+        make_iid([float("nan"), float("nan")])
+    for concentration in (0.0, -1.0, float("nan"), float("inf"), 1e-300):
+        with pytest.raises(SourceError):
+            make_markov(2, 1, seed=1, concentration=concentration)
 
 
 def test_random_generation_is_floored_and_deterministic():

@@ -1,5 +1,6 @@
+import mol.verify
 from mol import build_index
-from mol.verify import VerifyBudget, _superadditivity_value, run_suites
+from mol.verify import VerifyBudget, Workspace, _label, _superadditivity_value, run_suites
 
 from oracles import all_strings
 
@@ -7,15 +8,43 @@ SMALL = VerifyBudget(exhaustive_max_n=7, random_cases=20, random_max_n=64)
 
 
 def test_window_entropy_suites_at_small_budget():
+    # every suite, in SUITES order
     cases = {
+        "h-forms": 1618,
+        "ppm-closed-form": 1424,
         "h-step-drop": 1474,
         "h-prefix-drop": 1474,
         "h-superadditivity": 2448,
+        "weighted-monotone": 1728,
         "h-series-bound": 1596,
+        "maxrep-lower-bound": 274,
+        "code-length-monotone": 274,
+        "order-le-maxrep": 548,
+        "order-le-kt": 274,
+        "order-log-bound": 544,
+        "kraft": 20,
+        "ppm-gap-sandwich": 1474,
+        "mi-vocab-bound": 1342,
+        "ppm-identities": 540,
     }
-    for result in run_suites(list(cases), SMALL):
+    results = run_suites(None, SMALL)
+    assert [r.name for r in results] == list(cases)
+    for result in results:
         assert result.passed, result.violations[:3]
         assert result.cases == cases[result.name]
+
+
+def test_failing_cases_format_their_own_values(monkeypatch):
+    # detail() must run before the suite moves on to the next case
+    monkeypatch.setattr(mol.verify, "kt_order", lambda x: -1)
+    budget = VerifyBudget(exhaustive_max_n=4, random_cases=6, random_max_n=32)
+    (result,) = run_suites(["order-le-kt"], budget)
+    ws = Workspace(budget)
+    strings = ws.exhaustive() + ws.random()
+    assert result.cases == len(strings)
+    assert result.violations == [
+        f"M={ws.order('ppm', x).estimate} > K=-1 for {_label(x)}" for x in strings
+    ]
 
 
 def test_superadditivity_value_matches_slice_indexes():
