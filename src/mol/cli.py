@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="consistency experiment over a synthetic source")
     p.add_argument("--order", type=int, default=0, help="source Markov order")
-    p.add_argument("--d", type=int, default=2, help="alphabet size")
+    p.add_argument("--d", type=_int_at_least(2), default=2, help="alphabet size")
     p.add_argument("--sticky", type=float, default=None,
                    help="stay probability of the symmetric binary order-1 chain")
     p.add_argument("--source-seed", type=int, default=1,

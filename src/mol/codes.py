@@ -113,17 +113,24 @@ def ppm_semidistribution_entropy(x: Sequence, exact: bool = False) -> float:
     With exact=True the head runs until every remaining order provably equals
     the uniform measure, so the value matches the full series; the default
     caps the head at ceil(log_D n) + 16 orders and treats the rest as uniform,
-    which is a tight approximation for non-degenerate inputs.
+    which is a tight approximation for non-degenerate inputs. The exact value
+    is kept on the sequence's index.
     """
+    idx = build_index(x)
+    if exact and idx.ppm_bits is not None:
+        return idx.ppm_bits
     n = len(x)
     D = x.alphabet.size
     kmax = n - 2 if exact else default_mixture_kmax(n, D)
-    head = build_index(x).ppm_code_lengths()[: max(kmax + 1, 0)]
+    head = idx.ppm_code_lengths()[: max(kmax + 1, 0)]
     tail = -n * math.log2(D) + math.log2(_zeta2_tail(head.size))
     terms = np.append(-head - 2.0 * np.log2(np.arange(1, head.size + 1)), tail)
     peak = float(terms.max())
     total = peak + math.log2(math.fsum(np.exp2(terms - peak).tolist()))
-    return 2.0 * math.log2(n + 1) + math.log2(math.pi**4 / 36.0) - total
+    bits = 2.0 * math.log2(n + 1) + math.log2(math.pi**4 / 36.0) - total
+    if exact:
+        idx.ppm_bits = bits
+    return bits
 
 
 def lz78_code_length(x: Sequence) -> float:

@@ -90,13 +90,13 @@ class SourceModel:
         cum = np.cumsum(self.transition, axis=1)
         cum[:, -1] = 1.0
         rows = cum.tolist()
-        us = rng.random(n).tolist()
-        out = np.empty(n, dtype=np.int64)
-        for t in range(n):
-            a = bisect_right(rows[ctx], us[t])
-            out[t] = a
+        out = []
+        put = out.append
+        for u in rng.random(n).tolist():
+            a = bisect_right(rows[ctx], u)
+            put(a)
             ctx = (ctx * D + a) % S
-        return Sequence(out, alpha)
+        return Sequence(np.array(out, dtype=np.int64), alpha)
 
     # -- exact oracles -----------------------------------------------------
 

@@ -24,24 +24,99 @@ def _py_ints(a: np.ndarray):
     return chain.from_iterable(a[s : s + _BLOCK].tolist() for s in range(0, a.size, _BLOCK))
 
 
-def _lcp_array(x: np.ndarray, sa: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Kasai longest-common-prefix array; lcp[r] = lcp(suffix sa[r-1], suffix sa[r])."""
-    prev = sa[rank - 1]  # the suffix ranked just before each one
-    prev[sa[0]] = -1
-    xs = x.tolist()
-    xs.append(-1)  # two distinct suffixes cannot both reach the sentinel
-    plcp = array("q")  # indexed by text position
+# a word round of the LCP goes on while it closes at least this share of the
+# pairs still open; the rest are long repeats, which Kasai's loop finishes
+_MIN_CLOSED_PER_ROUND = 1 / 16
+
+
+def _packed_words(x: np.ndarray, D: int):
+    """(W, s, b): W[i] packs x[i : i+s] as symbol + 1 in b = D.bit_length() bits,
+    the first symbol highest, with 0 past the end; W[n] = 0 closes the array.
+
+    s is the largest power of two with s * b <= 64, so two words compare as
+    unsigned ints the way their s-grams compare, the end of the string below
+    every symbol. W is built by log2 s shift-or doublings.
+    """
+    n = int(x.size)
+    b = D.bit_length()
+    s = 1 << ((64 // b).bit_length() - 1)
+    W = np.zeros(n + s, dtype=np.uint64)
+    W[:n] = x
+    W[:n] += np.uint64(1)
+    w = 1
+    while w < s:
+        W[:n] = (W[:n] << np.uint64(w * b)) | W[w : n + w]
+        w *= 2
+    return W[: n + 1], s, b
+
+
+def _bit_length(v: np.ndarray) -> np.ndarray:
+    """Position of the highest set bit, plus one, of each uint64: the frexp
+    exponent of its higher 32-bit half plus 32, or else of its lower half.
+    Each half is exact as a float64, and frexp(0) has exponent 0."""
+    hi = np.frexp((v >> np.uint64(32)).astype(np.float64))[1]
+    lo = np.frexp((v & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(hi > 0, hi + 32, lo)
+
+
+def _lcp_array(W: np.ndarray, s: int, b: int, sa: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """lcp[r] = lcp(suffix sa[r-1], suffix sa[r]), from the packed words W.
+
+    Each suffix i is paired with its suffix-array predecessor j (the Phi array).
+    A round XORs W[i+h] with W[j+h]: zero means s more equal symbols, else the
+    highest set bit lies in the first differing symbol, the first of the s
+    b-bit fields being the highest. The rounds go on while each closes a fair
+    share of the open pairs; Kasai's loop finishes the rest.
+    """
+    n = int(rank.size)
+    width = s * b
+    i = np.arange(n)
+    j = sa[rank - 1]
+    j[sa[0]] = n  # the first suffix meets the zero word W[n], so its lcp is 0
+    plcp = np.empty(n, dtype=np.int64)  # indexed by text position
     h = 0
-    for i, j in enumerate(_py_ints(prev)):
-        if j < 0:
-            h = 0
-        else:
-            while xs[i + h] == xs[j + h]:
-                h += 1
-        plcp.append(h)
-        if h:
-            h -= 1
-    return np.frombuffer(plcp, dtype=np.int64)[sa]
+    while i.size:
+        diff = W[i + h]
+        diff ^= W[j + h]
+        done = diff != 0
+        plcp[i[done]] = h + (width - _bit_length(diff[done])) // b
+        open_ = ~done
+        i, j = i[open_], j[open_]
+        h += s
+        if open_.size - i.size < _MIN_CLOSED_PER_ROUND * open_.size:
+            plcp[i] = _kasai_remainder(W, s, b, i, j, h)
+            break
+    return plcp[sa]
+
+
+def _kasai_remainder(W, s: int, b: int, i: np.ndarray, j: np.ndarray, h: int) -> np.ndarray:
+    """lcp of each open pair (i, j), i ascending, given h equal symbols so far.
+
+    In text order each lcp is at least the previous one less the gap in text
+    position (Kasai et al. 2001), so the scan resumes at the previous match's
+    end when that is further, and steps s symbols per word.
+    """
+    n = int(W.size) - 1
+    words = memoryview(W)
+    width = s * b
+    out = array("q")
+    put = out.append
+    end = 0  # text position just past the previous pair's match
+    for a, c in zip(_py_ints(i), _py_ints(j)):
+        k = end - a
+        if k < h:
+            k = h
+        # a suffix that has ended matches no further, as on constant and periodic strings
+        if a + k < n and c + k < n:
+            diff = words[a + k] ^ words[c + k]
+            while not diff:
+                k += s
+                diff = words[a + k] ^ words[c + k]
+            # the highest set bit lies in the first differing symbol
+            k += (width - diff.bit_length()) // b
+        put(k)
+        end = a + k
+    return np.frombuffer(out, dtype=np.int64)
 
 
 def _lcp_intervals(lcp: np.ndarray):
@@ -96,16 +171,17 @@ def _dense_rank(key: np.ndarray, size: int):
     return (np.cumsum(seen) - 1)[key], cnt[seen]
 
 
-def _suffix_array(x: np.ndarray):
+def _suffix_array(W: np.ndarray, s: int):
     """(sa, rank): the suffix array by prefix doubling, O(n log n), and its inverse.
 
-    Round 0 ranks the symbols; each later round ranks the pair (rank of the
-    first h symbols, rank of the next h or none past the end), with the same
-    count-or-sort ranking as the gram ids, until every suffix has its own rank.
+    Round 0 ranks the packed words, that is the first s symbols of each suffix;
+    each later round ranks the pair (rank of the first h symbols, rank of the
+    next h or none past the end), with the same count-or-sort ranking as the
+    gram ids, until every suffix has its own rank.
     """
-    n = int(x.size)
-    rank, cnt = _dense_rank(x, int(x.max(initial=0)) + 1)
-    h = 1
+    n = int(W.size) - 1
+    rank, cnt = _rank_by_sort(W[:n])
+    h = s
     while cnt.size < n:
         G = cnt.size
         key = rank * (G + 1)
@@ -207,6 +283,7 @@ class FrequencyIndex:
         self._ppm = None
         self._h_cache: dict[int, float] = {}
         self.lz78_bits: float | None = None  # set once by codes.lz78_code_length
+        self.ppm_bits: float | None = None  # set once by codes.ppm_semidistribution_entropy
 
     # -- gram groups ---------------------------------------------------
 
@@ -277,8 +354,9 @@ class FrequencyIndex:
         if self.n < 1:
             raise ValueError("maximal repetition needs a non-empty sequence")
         if self._maxrep is None:
-            sa, self._rank = _suffix_array(self._x)
-            self._lcp = _lcp_array(self._x, sa, self._rank)
+            W, s, b = _packed_words(self._x, self.seq.alphabet.size)
+            sa, self._rank = _suffix_array(W, s)
+            self._lcp = _lcp_array(W, s, b, sa, self._rank)
             self._maxrep = int(self._lcp.max()) if self.n > 1 else 0
         return self._maxrep
 

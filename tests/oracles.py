@@ -57,6 +57,20 @@ def suffix_array_oracle(ids) -> list:
     return sorted(range(len(ids)), key=lambda i: ids[i:])
 
 
+def lcp_oracle(ids) -> list:
+    """lcp[r] of the suffixes ranked r-1 and r by suffix_array_oracle, lcp[0] = 0."""
+    ids = list(ids)
+    n = len(ids)
+    sa = suffix_array_oracle(ids)
+    out = [0]
+    for p, q in zip(sa, sa[1:]):
+        k = 0
+        while p + k < n and q + k < n and ids[p + k] == ids[q + k]:
+            k += 1
+        out.append(k)
+    return out
+
+
 def h_position_oracle(ids, k: int) -> float:
     ids = list(ids)
     n = len(ids)

@@ -172,6 +172,15 @@ def test_simulate_nonpositive_length_is_config_error(capsys, length):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("d", ["0", "1", "-2"])
+def test_simulate_alphabet_below_two_is_config_error(capsys, d):
+    code, out, err = run_cli(capsys, "simulate", "--order", "0", "--d", d, "--n", "50", "--trials", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("mol: invalid config:") and "--d" in err and ">= 2" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_simulate_invariant_violation_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(mol.sources, "kt_order", lambda x: 0)
     code, out, err = run_cli(

@@ -99,6 +99,18 @@ def test_sample_empty_and_deterministic():
     assert src.sample(500, seed=42) != src.sample(500, seed=43)
 
 
+def test_sample_ids_are_pinned():
+    # values drawn before sampling stored into a list instead of numpy items
+    assert make_markov(2, 2, seed=11).sample(64, seed=3).ids.tolist() == [
+        0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0,
+        1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0,
+    ]
+    assert make_markov(3, 1, seed=5).sample(40, seed=2).ids.tolist() == [
+        0, 2, 0, 1, 2, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 2, 0, 0, 0, 0,
+        1, 2, 0, 0, 2, 0, 2, 0, 0, 0, 2, 0, 2, 0, 0, 1, 2, 1, 0, 2,
+    ]
+
+
 def test_sample_fair_coin_frequency():
     x = fair_coin().sample(100000, seed=7)
     freq = float(np.mean(x.ids))

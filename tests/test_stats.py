@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mol import build_index, ingest, stats
+from mol import build_index, ingest, stats, sticky_chain
 
 from oracles import (
     all_strings,
     count_oracle,
     h_position_oracle,
     h_vocab_oracle,
+    lcp_oracle,
     maxrep_oracle,
     seq,
     suffix_array_oracle,
@@ -92,20 +93,67 @@ def test_gram_ids_match_stacked_rows_in_both_rank_branches(data):
 
 
 @st.composite
-def _narrow_or_wide_ids(draw):
-    # D <= 4 keeps the first doubling rounds within the count table; symbols
-    # up to D >= 300 over a short string exceed it, so round 0 sorts as well
-    D = draw(st.integers(2, 4) | st.integers(300, 600))
-    return draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=200))
+def _packed_ids(draw):
+    # D in 2..4, 300..600 and 65536..65600 packs 32 or 16, 4 and 2 symbols per
+    # word; symbols from a small pool of the alphabet make repeats on every D
+    D = draw(st.integers(2, 4) | st.integers(300, 600) | st.integers(65536, 65600))
+    pool = draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=4, unique=True))
+    return D, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=200))
 
 
-@given(_narrow_or_wide_ids())
-@example([0] * 100)
-@example([0, 1, 2, 0, 1, 3] * 30)
-def test_suffix_array_matches_oracle(ids):
-    sa, rank = stats._suffix_array(np.array(ids, dtype=np.int64))
+def _periodic_with_a_flip(period: int, n: int, seed: int) -> list:
+    # long repeats that end on a real symbol, not at the end of the string
+    ids = (np.random.default_rng(seed).integers(0, 2, period).tolist() * n)[:n]
+    ids[-10] ^= 1
+    return ids
+
+
+_CONSTANT = [0] * 1000  # long enough that the word rounds leave pairs to Kasai's loop
+
+
+@given(_packed_ids())
+@example((2, _CONSTANT))
+@example((4, [0, 1, 2, 0, 1, 3] * 30))
+@example((2, _periodic_with_a_flip(40, 1200, 1)))
+@example((3, [2] * 70))
+@example((300, [299] * 9))
+@example((65600, [65599] * 5))
+# lengths 1, 2, s - 1, s and s + 1 for s = 32, 16, 4 and 2
+@example((2, [1]))
+@example((2, [1, 0]))
+@example((2, [0, 1] * 15 + [1]))
+@example((2, [0, 1] * 16))
+@example((2, [0, 1] * 16 + [1]))
+@example((4, [3, 0, 1] * 5))
+@example((4, [3, 0, 1] * 5 + [2]))
+@example((4, [3, 0, 1] * 5 + [2, 3]))
+@example((300, [299, 0, 299]))
+@example((300, [299, 0, 299, 0]))
+@example((300, [299, 0, 299, 0, 0]))
+@example((65536, [7]))
+@example((65536, [7, 65535]))
+@example((65536, [7, 65535, 7]))
+# a sticky sample whose lcps take up to ten word rounds of 4 symbols
+@example((300, (np.array([0, 299])[sticky_chain(0.9).sample(400, seed=5).ids]).tolist()))
+def test_suffix_array_matches_oracle(D_ids):
+    D, ids = D_ids
+    W, s, b = stats._packed_words(np.array(ids, dtype=np.int64), D)
+    sa, rank = stats._suffix_array(W, s)
     assert sa.tolist() == suffix_array_oracle(ids)
     assert rank[sa].tolist() == list(range(len(ids)))
+    assert stats._lcp_array(W, s, b, sa, rank).tolist() == lcp_oracle(ids)
+
+
+def test_kasai_remainder_runs_only_on_long_repeats():
+    calls = []
+    remainder = stats._kasai_remainder
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_kasai_remainder", lambda *a: calls.append(a[3].size) or remainder(*a))
+        assert build_index(seq(_CONSTANT, 2)).max_repetition() == len(_CONSTANT) - 1
+        assert calls
+        calls.clear()
+        build_index(seq(np.random.default_rng(0).integers(0, 2, 2000), 2)).max_repetition()
+        assert calls == []
 
 
 # -- vocabulary and maximal repetition ---------------------------------------
