@@ -107,6 +107,17 @@ def _csv_table(header: list[str], rows: list) -> list[str]:
 # -- estimate ----------------------------------------------------------------
 
 
+def _ingest_mode(args):
+    """(mode, alphabet): explicit mode over the token list of --alphabet, a JSON
+    array of strings, or else --mode with no alphabet."""
+    if not args.alphabet:
+        return args.mode, None
+    alphabet = json.loads(Path(args.alphabet).read_text(encoding="utf-8"))
+    if not isinstance(alphabet, list) or not all(isinstance(t, str) for t in alphabet):
+        raise ConfigError(f"--alphabet must hold a JSON array of strings: {args.alphabet}")
+    return "explicit", alphabet
+
+
 def _estimate_file(task: dict) -> dict:
     data = Path(task["path"]).read_bytes()
     x = ingest(data, mode=task["mode"], alphabet=task["alphabet"])
@@ -135,12 +146,7 @@ def _estimate_file(task: dict) -> dict:
 
 def _cmd_estimate(args) -> int:
     seed = _resolve_seed(args.seed)
-    alphabet = None
-    if args.alphabet:
-        alphabet = json.loads(Path(args.alphabet).read_text(encoding="utf-8"))
-        mode = "explicit"
-    else:
-        mode = args.mode
+    mode, alphabet = _ingest_mode(args)
     ram = _parse_ram(args.ram) if args.ram else None
     config = {
         "command": "estimate",
@@ -210,12 +216,7 @@ def _cmd_profile(args) -> int:
     if any(b < 1 for b in blocks):
         raise ConfigError(f"--blocks sizes must be >= 1, got {args.blocks!r}")
     data = Path(args.file).read_bytes()
-    alphabet = None
-    if args.alphabet:
-        alphabet = json.loads(Path(args.alphabet).read_text(encoding="utf-8"))
-        mode = "explicit"
-    else:
-        mode = args.mode
+    mode, alphabet = _ingest_mode(args)
     x = ingest(data, mode=mode, alphabet=alphabet)
     if len(x) == 0:
         raise ConfigError("cannot profile an empty sequence")
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="Markov order estimates for input files")
     p.add_argument("files", nargs="+")
     p.add_argument("--mode", choices=["bytes", "tokens"], default="bytes")
-    p.add_argument("--alphabet", default=None, help="JSON token list (explicit mode)")
+    p.add_argument("--alphabet", default=None, help="JSON array of token strings (explicit mode)")
     p.add_argument("--backend", choices=["ppm", "lz78"], default="ppm")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--kt", action="store_true", help="also report the KT order")

@@ -24,11 +24,6 @@ def _py_ints(a: np.ndarray):
     return chain.from_iterable(a[s : s + _BLOCK].tolist() for s in range(0, a.size, _BLOCK))
 
 
-# a word round of the LCP goes on while it closes at least this share of the
-# pairs still open; the rest are long repeats, which Kasai's loop finishes
-_MIN_CLOSED_PER_ROUND = 1 / 16
-
-
 def _packed_words(x: np.ndarray, D: int):
     """(W, s, b): W[i] packs x[i : i+s] as symbol + 1 in b = D.bit_length() bits,
     the first symbol highest, with 0 past the end; W[n] = 0 closes the array.
@@ -62,61 +57,55 @@ def _bit_length(v: np.ndarray) -> np.ndarray:
 def _lcp_array(W: np.ndarray, s: int, b: int, sa: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """lcp[r] = lcp(suffix sa[r-1], suffix sa[r]), from the packed words W.
 
-    Each suffix i is paired with its suffix-array predecessor j (the Phi array).
-    A round XORs W[i+h] with W[j+h]: zero means s more equal symbols, else the
-    highest set bit lies in the first differing symbol, the first of the s
-    b-bit fields being the highest. The rounds go on while each closes a fair
-    share of the open pairs; Kasai's loop finishes the rest.
+    Each text position i is paired with its suffix-array predecessor j (the Phi
+    array). XOR of W[i + h] and W[j + h] is zero for s more equal symbols, else
+    its highest set bit lies in the first differing symbol, the first of the s
+    b-bit fields being the highest. One such round over all pairs closes every
+    lcp below s.
+
+    An open pair is reducible when x[i-1] == x[j-1]: then plcp[i] = plcp[i-1] - 1
+    (Kärkkäinen, Manzini & Puglisi 2009). The others, irreducible, sum to at
+    most 2 n log n symbols; they compare k words a round, k doubling while the
+    open pairs times k stay within n. Each run of reducible positions then
+    counts down from the irreducible pair just before it.
     """
     n = int(rank.size)
     width = s * b
-    i = np.arange(n)
     j = sa[rank - 1]
     j[sa[0]] = n  # the first suffix meets the zero word W[n], so its lcp is 0
-    plcp = np.empty(n, dtype=np.int64)  # indexed by text position
-    h = 0
+    diff = W[:n] ^ W[j]
+    plcp = (width - _bit_length(diff)).astype(np.int64) // b  # indexed by text position
+    i = np.flatnonzero(diff == 0)  # equal words: plcp[i] = s so far
+    del diff
+    j = j[i]
+    # the leading field of W[i - 1] is x[i - 1] + 1; at i = 0 the index -1 reads
+    # the zero word W[n], so a pair at text position 0 or meeting suffix 0 is
+    # irreducible
+    lead = np.uint64(width - b)
+    irreducible = (W[i - 1] >> lead) != (W[j - 1] >> lead)
+    reducible = i[~irreducible]
+    i, j = i[irreducible], j[irreducible]
+    h, k = s, 1
     while i.size:
-        diff = W[i + h]
-        diff ^= W[j + h]
-        done = diff != 0
-        plcp[i[done]] = h + (width - _bit_length(diff[done])) // b
-        open_ = ~done
+        step = h + s * np.arange(k)
+        # an index past the end reads the zero word W[n], like the fields past the end
+        words = W[np.minimum(i[:, None] + step, n)]
+        words ^= W[np.minimum(j[:, None] + step, n)]
+        col = (words != 0).argmax(axis=1)
+        first = words[np.arange(i.size), col]
+        plcp[i] = h + s * col + (width - _bit_length(first)) // b
+        open_ = first == 0
         i, j = i[open_], j[open_]
-        h += s
-        if open_.size - i.size < _MIN_CLOSED_PER_ROUND * open_.size:
-            plcp[i] = _kasai_remainder(W, s, b, i, j, h)
-            break
+        h += s * k
+        k = min(2 * k, n // max(i.size, 1))
+    # a reducible r has plcp[r - 1] = plcp[r] + 1 > s, so each run of them starts
+    # right after an irreducible pair p
+    base = np.arange(n)
+    base[reducible] = 0
+    np.maximum.accumulate(base, out=base)
+    p = base[reducible]
+    plcp[reducible] = plcp[p] - (reducible - p)
     return plcp[sa]
-
-
-def _kasai_remainder(W, s: int, b: int, i: np.ndarray, j: np.ndarray, h: int) -> np.ndarray:
-    """lcp of each open pair (i, j), i ascending, given h equal symbols so far.
-
-    In text order each lcp is at least the previous one less the gap in text
-    position (Kasai et al. 2001), so the scan resumes at the previous match's
-    end when that is further, and steps s symbols per word.
-    """
-    n = int(W.size) - 1
-    words = memoryview(W)
-    width = s * b
-    out = array("q")
-    put = out.append
-    end = 0  # text position just past the previous pair's match
-    for a, c in zip(_py_ints(i), _py_ints(j)):
-        k = end - a
-        if k < h:
-            k = h
-        # a suffix that has ended matches no further, as on constant and periodic strings
-        if a + k < n and c + k < n:
-            diff = words[a + k] ^ words[c + k]
-            while not diff:
-                k += s
-                diff = words[a + k] ^ words[c + k]
-            # the highest set bit lies in the first differing symbol
-            k += (width - diff.bit_length()) // b
-        put(k)
-        end = a + k
-    return np.frombuffer(out, dtype=np.int64)
 
 
 def _lcp_intervals(lcp: np.ndarray):

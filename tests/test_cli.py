@@ -106,6 +106,24 @@ def test_explicit_alphabet_flow(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["estimate", "profile"])
+def test_alphabet_must_be_a_json_array_of_strings(capsys, tmp_path, command):
+    data = tmp_path / "tokens.txt"
+    data.write_text("a b a", encoding="utf-8")
+    alpha_file = tmp_path / "alpha.json"
+    for bad in ["5", '[["a"], ["b"]]', '"ab"', '{"a": 1, "b": 2}']:
+        alpha_file.write_text(bad, encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--alphabet", str(alpha_file), str(data))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("mol: invalid config:") and "JSON array of strings" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    alpha_file.write_text("[", encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--alphabet", str(alpha_file), str(data))
+    assert code == 2
+    assert out == "" and err.startswith("mol: i/o error:")
+
+
 def test_profile_rows(capsys, tmp_path):
     path = tmp_path / "p.bin"
     path.write_bytes(b"abracadabra" * 4)

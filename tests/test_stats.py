@@ -108,7 +108,7 @@ def _periodic_with_a_flip(period: int, n: int, seed: int) -> list:
     return ids
 
 
-_CONSTANT = [0] * 1000  # long enough that the word rounds leave pairs to Kasai's loop
+_CONSTANT = [0] * 1000  # its one irreducible pair, at position 0, takes five doubling rounds
 
 
 @given(_packed_ids())
@@ -133,6 +133,13 @@ _CONSTANT = [0] * 1000  # long enough that the word rounds leave pairs to Kasai'
 @example((65536, [7]))
 @example((65536, [7, 65535]))
 @example((65536, [7, 65535, 7]))
+# the cases of the irreducible pairs, with s = 2: an open pair at text position
+# 0 that a run of reducible pairs follows (lcp 3), an open pair that meets
+# suffix 0, and a gather past the end, clamped to the zero word W[n]. No run
+# can follow a pair closed in round 0: a reducible r has plcp[r-1] = plcp[r] + 1 > s
+@example((65536, [0, 0, 0, 0]))
+@example((65536, [0, 0, 0, 1]))
+@example((65536, [0, 0, 0, 0, 0]))
 # a sticky sample whose lcps take up to ten word rounds of 4 symbols
 @example((300, (np.array([0, 299])[sticky_chain(0.9).sample(400, seed=5).ids]).tolist()))
 def test_suffix_array_matches_oracle(D_ids):
@@ -144,16 +151,21 @@ def test_suffix_array_matches_oracle(D_ids):
     assert stats._lcp_array(W, s, b, sa, rank).tolist() == lcp_oracle(ids)
 
 
-def test_kasai_remainder_runs_only_on_long_repeats():
+def test_lcp_rounds_grow_with_the_log_of_the_longest_repeat():
+    # round 0 closes every lcp below s = 32; k doubling words a round finish the
+    # irreducible pair of a long repeat in about log2(n / s) more rounds
     calls = []
-    remainder = stats._kasai_remainder
+    bit_length = stats._bit_length
+    n = 10**5
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stats, "_kasai_remainder", lambda *a: calls.append(a[3].size) or remainder(*a))
-        assert build_index(seq(_CONSTANT, 2)).max_repetition() == len(_CONSTANT) - 1
-        assert calls
+        mp.setattr(stats, "_bit_length", lambda v: calls.append(v.size) or bit_length(v))
+        for D, ids, L in [(2, [0] * n, n - 1), (4, [0, 1, 2, 0, 1, 3] * (n // 6), n - n % 6 - 6)]:
+            calls.clear()
+            assert build_index(seq(ids, D)).max_repetition() == L
+            assert len(calls) <= 20
         calls.clear()
         build_index(seq(np.random.default_rng(0).integers(0, 2, 2000), 2)).max_repetition()
-        assert calls == []
+        assert len(calls) == 1
 
 
 # -- vocabulary and maximal repetition ---------------------------------------
