@@ -399,10 +399,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mol", description=__doc__)
+    parser = _Parser(prog="mol", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", help="Markov order estimates for input files")
+    p = sub.add_parser("estimate", allow_abbrev=False, help="Markov order estimates for input files")
     p.add_argument("files", nargs="+")
     p.add_argument("--mode", choices=["bytes", "tokens"], default="bytes")
     p.add_argument("--alphabet", default=None, help="JSON array of token strings (explicit mode)")
@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("profile", help="entropy profile and optional MI profile")
+    p = sub.add_parser("profile", allow_abbrev=False, help="entropy profile and optional MI profile")
     p.add_argument("file")
     p.add_argument("--mode", choices=["bytes", "tokens"], default="bytes")
     p.add_argument("--alphabet", default=None)
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_profile, format="csv")
 
-    p = sub.add_parser("simulate", help="consistency experiment over a synthetic source")
+    p = sub.add_parser("simulate", allow_abbrev=False, help="consistency experiment over a synthetic source")
     p.add_argument("--order", type=int, default=0, help="source Markov order")
     p.add_argument("--d", type=_int_at_least(2), default=2, help="alphabet size")
     p.add_argument("--sticky", type=float, default=None,
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify", help="run the invariant suites")
+    p = sub.add_parser("verify", allow_abbrev=False, help="run the invariant suites")
     p.add_argument("--suite", action="append", choices=sorted(SUITES),
                    help="suite name (repeatable); all suites by default")
     p.add_argument("--nmax", type=_int_at_least(1), default=10, help="exhaustive length budget")

@@ -7,21 +7,11 @@ occurrences, with N(lambda | x_1^m) = m + 1 for the empty word.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .sequence import Sequence
-
-_BLOCK = 1 << 16  # entries per block when a Python loop walks a numpy array
-
-
-def _py_ints(a: np.ndarray):
-    """The items of a as Python ints, converted one block at a time, so that no
-    list of all n of them is ever held."""
-    return chain.from_iterable(a[s : s + _BLOCK].tolist() for s in range(0, a.size, _BLOCK))
 
 
 def _packed_words(x: np.ndarray, D: int):
@@ -108,31 +98,120 @@ def _lcp_array(W: np.ndarray, s: int, b: int, sa: np.ndarray, rank: np.ndarray) 
     return plcp[sa]
 
 
+def _peel(val: np.ndarray, pl: np.ndarray, pr: np.ndarray, span: int):
+    """One round of _lcp_intervals: close every element above both valleys of its
+    stretch and merge what is left.
+
+    val holds no two equal neighbours; element e covers ranks pl[e]..pr[e]. The
+    valleys are both ends and the strict local minima; between two of them,
+    values rise strictly and then fall strictly, so an element above both has
+    its nearest smaller neighbours inside the stretch. A rising element has its
+    left one at e - 1 and a falling one (the peak included) its right one at
+    e + 1; the other side is one searchsorted over keys that sort by stretch
+    and then by value, which needs span > every value. Returns the remaining
+    (val, pl, pr) and the closed intervals (value, parent, lb, rb), one tuple
+    for the rising and one for the falling elements.
+    """
+    m = val.size
+    up = val[1:] > val[:-1]
+    valley = np.ones(m, dtype=bool)
+    valley[1:-1] = up[1:] & ~up[:-1]
+    rising = np.zeros(m, dtype=bool)
+    rising[1:-1] = up[1:] & up[:-1]
+    del up
+    sid = np.cumsum(valley) - 1  # stretch of each element; valley s opens stretch s
+    floor = val[valley]
+    floor = np.maximum(floor[:-1], floor[1:])  # the higher valley of each stretch
+    e = np.flatnonzero(~valley)
+    e = e[val[e] > floor[sid[e]]]
+    del floor
+    keep = np.ones(m, dtype=bool)
+    keep[e] = False
+    rise = rising[e]
+    up_e, down_e = e[rise], e[~rise]
+    del e, rise
+    # a rising element ends before the first smaller element of its falling side,
+    # the right valley included, keyed stretch * span - value in rank order
+    side = np.flatnonzero(~rising)
+    key = (sid[side] - valley[side]) * span - val[side]
+    up_r = side[np.searchsorted(key, sid[up_e] * span - val[up_e], side="right")]
+    del side, key
+    # a falling element starts after the last smaller element of its rising side,
+    # the left valley included, keyed stretch * span + value in rank order
+    side = np.flatnonzero(rising | valley)
+    del rising, valley
+    key = sid[side] * span + val[side]
+    q = sid[down_e] * span + val[down_e]
+    del sid
+    at = np.searchsorted(key, q)
+    new = key[at] != q  # an equal value on the rising side is the same interval
+    del key, q
+    down_l = side[at[new] - 1]
+    down_e = down_e[new]
+    del side, at, new
+
+    def emit(e, left, right):
+        return val[e], np.maximum(val[left], val[right]), pr[left], pl[right] - 1
+
+    got = [emit(up_e, up_e - 1, up_r)]
+    del up_e, up_r
+    got.append(emit(down_e, down_l, down_e + 1))
+    del down_e, down_l
+    # merge the equal neighbours that the closed elements separated
+    rest = np.flatnonzero(keep)
+    del keep
+    head = np.ones(rest.size + 1, dtype=bool)
+    head[1:-1] = val[rest[1:]] != val[rest[:-1]]
+    first, last = rest[head[:-1]], rest[head[1:]]
+    return val[first], pl[first], pr[last], got
+
+
 def _lcp_intervals(lcp: np.ndarray):
-    """Bottom-up traversal of the lcp-intervals (Abouelhoda, Kurtz & Ohlebusch 2004).
+    """The lcp-intervals (Abouelhoda, Kurtz & Ohlebusch 2004) by tree contraction.
 
     Returns arrays (value, parent, lb, rb), one entry per lcp-interval of value
     >= 1: the suffixes at ranks lb..rb share their first `value` symbols, and
     the enclosing interval has value `parent`. Each distinct l-gram with
     parent < l <= value therefore occurs rb - lb + 1 times.
+
+    The equal runs of [0, lcp[1:], 0] become elements, and _peel closes them in
+    rounds. Each round's valleys are local minima of the last round's, so there
+    are at most log2 n + 1 rounds. The intervals come out in the post-order of a
+    bottom-up stack walk (by right end, inner before outer), so that sums over
+    them add in that order.
     """
-    value, parent, lb, rb = array("q"), array("q"), array("q"), array("q")
-    stack_v, stack_lb = [0], [0]
-    top = 0
-    for i, cur in enumerate(chain(_py_ints(lcp[1:]), (0,)), start=1):
-        left = i - 1
-        while cur < top:
-            left = stack_lb.pop()
-            value.append(stack_v.pop())
-            top = stack_v[-1]
-            parent.append(cur if cur > top else top)
-            lb.append(left)
-            rb.append(i - 1)
-        if cur > top:
-            stack_v.append(cur)
-            stack_lb.append(left)
-            top = cur
-    return tuple(np.frombuffer(a, dtype=np.int64) for a in (value, parent, lb, rb))
+    n = int(lcp.size)
+    v = np.zeros(n + 1, dtype=np.int64)
+    v[1:n] = lcp[1:]
+    head = np.ones(n + 2, dtype=bool)
+    head[1:-1] = v[1:] != v[:-1]
+    pl = np.flatnonzero(head[:-1])
+    pr = np.flatnonzero(head[1:])
+    val = v[pl]
+    del v, head
+    parts = [[np.empty(0, dtype=np.int64)] for _ in range(4)]  # value, parent, lb, rb
+    while val.size > 1:
+        val, pl, pr, got = _peel(val, pl, pr, n + 1)
+        for side in got:
+            for part, piece in zip(parts, side):
+                part.append(piece)
+        del got, side
+    del val, pl, pr
+
+    def column(c):
+        col = np.concatenate(parts[c])
+        parts[c].clear()
+        return col
+
+    value, rb = column(0), column(3)
+    order = rb * (n + 1)
+    order += n
+    order -= value
+    order = np.argsort(order)
+    value, rb = value[order], rb[order]
+    parent = column(1)[order]
+    lb = column(2)[order]
+    return value, parent, lb, rb
 
 
 # past this many count bins per key (plus a small floor) a counting rank's
@@ -201,8 +280,8 @@ def _final_gram_counts(rank, value, lb, rb, cnt, levels: int) -> np.ndarray:
 def _level_sums(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, levels: int) -> np.ndarray:
     """out[l] = sum of w[j] over the j with lo[j] < l <= hi[j], for l < levels."""
     diff = np.zeros(levels + 1, dtype=w.dtype)
-    np.add.at(diff, lo + 1, w)
-    np.add.at(diff, hi + 1, -w)
+    np.add.at(diff[1:], lo, w)
+    np.subtract.at(diff[1:], hi, w)
     return np.cumsum(diff[:levels])
 
 
@@ -377,10 +456,14 @@ class FrequencyIndex:
         s = _final_gram_counts(self._rank, value, lb, rb, cnt, levels)
         self._rank = self._lcp = None  # nothing else reads them
         # lgf[c] = log2(c!)
-        lgf = np.zeros(n + D + 1, dtype=np.longdouble)
-        np.cumsum(np.log2(np.arange(1, n + D + 1, dtype=np.longdouble)), out=lgf[1:])
+        lgf = np.arange(n + D + 1, dtype=np.longdouble)
+        np.log2(lgf[1:], out=lgf[1:])
+        np.cumsum(lgf[1:], out=lgf[1:])
         A = _level_sums(parent, value, lgf[cnt], levels)
-        B = _level_sums(parent, value, lgf[cnt + D - 1] - lgf[D - 1], levels)
+        w = lgf[cnt + D - 1]
+        w -= lgf[D - 1]
+        B = _level_sums(parent, value, w, levels)
+        del w
         C = _level_sums(parent, value, cnt, levels)
         log_d = np.log2(np.longdouble(D))
         # K reaches n on constant and periodic strings, so B and log_s are

@@ -106,20 +106,33 @@ class Workspace:
         self.ppm = PpmCode(exact=True)
         self.lz78 = Lz78Code()
         self._exhaustive: list[Sequence] | None = None
+        self._of_length: dict[int, list[Sequence]] = {}
         self._random: list[Sequence] | None = None
         self._drop: list | None = None
         self._H: dict = {}
         self._reports: dict = {}
 
-    def exhaustive(self) -> list[Sequence]:
-        if self._exhaustive is None:
+    def of_length(self, n: int) -> list[Sequence]:
+        """Every string of length n over the budget's alphabet, in product order.
+
+        The same objects make up exhaustive(), so code lengths cached on them by
+        one suite serve the next.
+        """
+        got = self._of_length.get(n)
+        if got is None:
             D = self.budget.alphabet_size
             alpha = uniform_alphabet(D)
-            out = []
-            for n in range(1, self.budget.exhaustive_max_n + 1):
-                for ids in product(range(D), repeat=n):
-                    out.append(Sequence(np.array(ids, dtype=np.int64), alpha))
-            self._exhaustive = out
+            got = self._of_length[n] = [
+                Sequence(np.array(ids, dtype=np.int64), alpha)
+                for ids in product(range(D), repeat=n)
+            ]
+        return got
+
+    def exhaustive(self) -> list[Sequence]:
+        if self._exhaustive is None:
+            self._exhaustive = [
+                x for n in range(1, self.budget.exhaustive_max_n + 1) for x in self.of_length(n)
+            ]
         return self._exhaustive
 
     def random(self) -> list[Sequence]:
@@ -407,12 +420,19 @@ def suite_order_log_bound(ws: Workspace):
 
 @_suite("kraft")
 def suite_kraft(ws: Workspace, codes=None):
-    """Kraft sums of both backends stay at most one at every length."""
+    """Kraft sums of both backends stay at most one at every length.
+
+    Lengths inside the exhaustive universe sum over its strings, which carry
+    their code lengths from the other suites; longer ones enumerate afresh.
+    """
     codes = codes if codes is not None else [ws.ppm, ws.lz78]
-    D = ws.budget.alphabet_size
+    b = ws.budget
     for code in codes:
-        for n in range(1, ws.budget.kraft_max_n + 1):
-            total = kraft_sum(code, n, D)
+        for n in range(1, b.kraft_max_n + 1):
+            if n <= b.exhaustive_max_n:
+                total = math.fsum(2.0 ** -code.evaluate(x) for x in ws.of_length(n))
+            else:
+                total = kraft_sum(code, n, b.alphabet_size)
             yield total <= 1.0 + EPS, lambda: f"{code.name}: Kraft sum {total!r} > 1 at n={n}"
 
 

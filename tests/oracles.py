@@ -5,8 +5,9 @@ plain dictionaries, independent of the indexed fast paths in the package.
 """
 
 import math
+from array import array
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -69,6 +70,29 @@ def lcp_oracle(ids) -> list:
             k += 1
         out.append(k)
     return out
+
+
+def lcp_intervals_oracle(lcp):
+    """(value, parent, lb, rb) of every lcp-interval of value >= 1, by the
+    bottom-up stack walk of Abouelhoda, Kurtz & Ohlebusch (2004), in the order
+    the walk closes them."""
+    value, parent, lb, rb = array("q"), array("q"), array("q"), array("q")
+    stack_v, stack_lb = [0], [0]
+    top = 0
+    for i, cur in enumerate(chain(np.asarray(lcp)[1:].tolist(), (0,)), start=1):
+        left = i - 1
+        while cur < top:
+            left = stack_lb.pop()
+            value.append(stack_v.pop())
+            top = stack_v[-1]
+            parent.append(cur if cur > top else top)
+            lb.append(left)
+            rb.append(i - 1)
+        if cur > top:
+            stack_v.append(cur)
+            stack_lb.append(left)
+            top = cur
+    return tuple(np.frombuffer(a, dtype=np.int64) for a in (value, parent, lb, rb))
 
 
 def h_position_oracle(ids, k: int) -> float:

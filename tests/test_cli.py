@@ -321,13 +321,18 @@ def test_removed_flags_are_config_errors(capsys, sample_file, command, flag, val
     assert err.startswith("mol: invalid config:") and flag in err
 
 
-def test_simulate_backend_abbreviates_backends(capsys):
-    # simulate has no --backend of its own, so argparse reads it as --backends
-    code, out, _ = run_cli(capsys, "simulate", "--backend", "lz78", "--n", "100",
-                           "--trials", "1", "--format", "csv")
-    assert code == 0
-    assert "backend=lz78 " in out.splitlines()[1]
-    assert {line.split(",")[1] for line in out.splitlines()[3:]} == {"lz78"}
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--backend", "lz78", "--n", "100", "--trials", "1"],
+    ["estimate", "--back", "ppm"],
+])
+def test_abbreviated_flags_are_config_errors(capsys, sample_file, argv):
+    # simulate has --backends but no --backend; estimate has --backend but no --back
+    if argv[0] == "estimate":
+        argv = [*argv, sample_file]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("mol: invalid config:") and err.count("\n") == 1
 
 
 def test_profile_zero_block_is_config_error(capsys, sample_file):

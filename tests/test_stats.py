@@ -12,6 +12,7 @@ from oracles import (
     count_oracle,
     h_position_oracle,
     h_vocab_oracle,
+    lcp_intervals_oracle,
     lcp_oracle,
     maxrep_oracle,
     seq,
@@ -166,6 +167,78 @@ def test_lcp_rounds_grow_with_the_log_of_the_longest_repeat():
         calls.clear()
         build_index(seq(np.random.default_rng(0).integers(0, 2, 2000), 2)).max_repetition()
         assert len(calls) == 1
+
+
+def _assert_intervals_match_the_stack_walk(lcp):
+    lcp = np.asarray(lcp, dtype=np.int64)
+    got = stats._lcp_intervals(lcp)
+    want = lcp_intervals_oracle(lcp)
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64
+        assert a.tolist() == b.tolist()
+
+
+@st.composite
+def _interval_ids(draw):
+    kind = draw(st.sampled_from(["random", "periodic", "constant"]))
+    n = draw(st.integers(1, 200))
+    if kind == "constant":
+        return [0] * n
+    if kind == "random":
+        D = draw(st.integers(2, 4))
+        return draw(st.lists(st.integers(0, D - 1), min_size=n, max_size=n))
+    period = draw(st.lists(st.integers(0, 2), min_size=1, max_size=8))
+    ids = (period * n)[:n]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        ids[i] = (ids[i] + 1) % 3
+    return ids
+
+
+@given(_interval_ids())
+@example([0])
+@example([0, 0])
+@example([0, 1])
+# lcp [0, 1, 2, 1, 0]: the 1 on the falling side is the interval of the 1 on the
+# rising side, so the peel drops it
+@example([0, 0, 0, 1, 0])
+def test_lcp_intervals_match_the_stack_walk(ids):
+    _assert_intervals_match_the_stack_walk(lcp_oracle(ids))
+
+
+def test_lcp_intervals_match_the_stack_walk_on_every_binary_string():
+    for n in range(1, 13):
+        for ids in product(range(2), repeat=n):
+            _assert_intervals_match_the_stack_walk(lcp_oracle(ids))
+
+
+def test_peel_rounds_grow_with_the_log_of_n():
+    # each round's valleys are local minima of the last round's valleys
+    def lcp_of(ids, D):
+        idx = build_index(seq(ids, D))
+        idx.max_repetition()
+        return idx._lcp
+
+    n = 10**5
+    bound = math.ceil(math.log2(n)) + 2
+    cases = [
+        (lcp_of(np.random.default_rng(0).integers(0, 2, n), 2), bound),
+        (lcp_of([0] * n, 2), 1),
+        (lcp_of([0, 1, 2, 0, 1, 3] * (n // 6), 4), 2),
+        # the ruler sequence, and its mirror image, whose valleys halve each round
+        ([0] + [(i & -i).bit_length() for i in range(1, n)], 2),
+        ([0] + [18 - (i & -i).bit_length() for i in range(1, n)], bound),
+        ([0] + [n if i % 2 else i // 2 for i in range(1, n)], 2),  # 0, n, 1, n, 2, n, ...
+        (list(range(n)), 1),
+        ([0] + list(range(n - 1, 0, -1)), 1),
+    ]
+    rounds = []
+    peel = stats._peel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_peel", lambda *a: rounds.append(1) or peel(*a))
+        for lcp, most in cases:
+            rounds.clear()
+            _assert_intervals_match_the_stack_walk(lcp)
+            assert 1 <= len(rounds) <= most
 
 
 # -- vocabulary and maximal repetition ---------------------------------------

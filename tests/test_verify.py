@@ -1,6 +1,9 @@
+import math
+
 import mol.verify
 from mol import build_index
-from mol.verify import VerifyBudget, Workspace, _label, _superadditivity_value, run_suites
+from mol.codes import kraft_sum
+from mol.verify import VerifyBudget, Workspace, _label, _superadditivity_value, run_suites, suite_kraft
 
 from oracles import all_strings
 
@@ -32,6 +35,22 @@ def test_window_entropy_suites_at_small_budget():
     for result in results:
         assert result.passed, result.violations[:3]
         assert result.cases == cases[result.name]
+
+
+def test_kraft_sums_the_universe_and_enumerates_beyond_it(monkeypatch):
+    # SMALL's universe stops at n = 7 and its Kraft sums run to n = 10
+    ws = Workspace(SMALL)
+    enumerated = []
+    monkeypatch.setattr(mol.verify, "kraft_sum",
+                        lambda code, n, D: enumerated.append(n) or kraft_sum(code, n, D))
+    assert suite_kraft(ws).passed
+    assert enumerated == [8, 9, 10] * 2
+    # the same objects, so the code lengths cached by earlier suites are read
+    assert list(map(id, ws.exhaustive())) == [id(x) for n in range(1, 8) for x in ws.of_length(n)]
+    for code in (ws.ppm, ws.lz78):
+        for n in range(1, 8):
+            universe = math.fsum(2.0 ** -code.evaluate(x) for x in ws.of_length(n))
+            assert universe == kraft_sum(code, n, 2)
 
 
 def test_failing_cases_format_their_own_values(monkeypatch):
