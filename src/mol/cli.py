@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ._version import __version__
-from .codes import BACKENDS, KRAFT_ENUM_GUARD, BudgetError, make_code
+from .codes import BACKENDS, KRAFT_ENUM_GUARD, BudgetError, exceeds_enum_guard, make_code
 from .mi import mi_profile
 from .orders import kt_order, mgz_order, ram_test, universal_markov_order
 from .sequence import ingest
@@ -30,7 +30,7 @@ from .sources import (
     sticky_chain,
 )
 from .stats import build_index
-from .verify import SUITES, VerifyBudget, run_suites
+from .verify import SUITES, UNIVERSE_FREE, VerifyBudget, run_suites
 
 
 class ConfigError(ValueError):
@@ -342,15 +342,19 @@ def _cmd_simulate(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 
+def _guard_enumeration(flag: str, d: int, n: int) -> None:
+    if exceeds_enum_guard(d, n):
+        raise ConfigError(
+            f"{flag} {n} enumerates {d}^{n} strings, more than the guard of {KRAFT_ENUM_GUARD}"
+        )
+
+
 def _cmd_verify(args) -> int:
     names = args.suite or None
-    # d >= 2, so capping the exponent keeps the comparison exact and the power small
-    top = min(args.kraft_nmax, KRAFT_ENUM_GUARD.bit_length())
-    if (names is None or "kraft" in names) and args.d**top > KRAFT_ENUM_GUARD:
-        raise ConfigError(
-            f"--kraft-nmax {args.kraft_nmax} enumerates {args.d}^{args.kraft_nmax} strings, "
-            f"more than the guard of {KRAFT_ENUM_GUARD}"
-        )
+    if names is None or "kraft" in names:
+        _guard_enumeration("--kraft-nmax", args.d, args.kraft_nmax)
+    if any(name not in UNIVERSE_FREE for name in names or SUITES):
+        _guard_enumeration("--nmax", args.d, args.nmax)
     budget = VerifyBudget(
         alphabet_size=args.d,
         exhaustive_max_n=args.nmax,

@@ -12,7 +12,6 @@ import math
 from itertools import product
 
 import numpy as np
-from scipy.special import gammaln, polygamma
 
 from .sequence import Sequence, uniform_alphabet
 from .stats import build_index, count_in_prefix
@@ -27,14 +26,31 @@ class BudgetError(RuntimeError):
     """Enumeration or state-space budget exceeded."""
 
 
+def exceeds_enum_guard(D: int, n: int) -> bool:
+    """Whether the D**n strings of length n over D >= 2 symbols exceed KRAFT_ENUM_GUARD."""
+    # D >= 2, so capping the exponent keeps the comparison exact and the power small
+    return D ** min(n, KRAFT_ENUM_GUARD.bit_length()) > KRAFT_ENUM_GUARD
+
+
 def _lg_factorial(m) -> np.ndarray:
     """log2(m!) via the log-Gamma function; accepts arrays."""
-    return gammaln(np.asarray(m, dtype=float) + 1.0) * LOG2E
+    m = np.asarray(m)
+    return np.array([math.lgamma(v + 1) * LOG2E for v in m.ravel().tolist()]).reshape(m.shape)
 
 
 def _zeta2_tail(m: int) -> float:
-    """sum_{j > m} 1/j^2, exactly the trigamma function at m+1."""
-    return float(polygamma(1, m + 1))
+    """sum_{j > m} 1/j^2, exactly the trigamma function at m+1.
+
+    The terms below j = 32 are summed directly; the rest is the trigamma
+    function's asymptotic (Euler-Maclaurin) series at x >= 32,
+    1/x + 1/2x^2 + 1/6x^3 - 1/30x^5 + 1/42x^7 - 1/30x^9 + 5/66x^11, whose next
+    term is below 1e-18 of the sum.
+    """
+    x = max(m + 1, 32)
+    y = 1.0 / (x * x)
+    bernoulli = y * (1 / 6 - y * (1 / 30 - y * (1 / 42 - y * (1 / 30 - y * 5 / 66))))
+    series = (1.0 + 0.5 / x + bernoulli) / x
+    return math.fsum([1.0 / (j * j) for j in range(m + 1, x)] + [series])
 
 
 def ppm_cond(x: Sequence, i: int, k: int) -> float:
@@ -278,7 +294,7 @@ def kraft_sum(code: CodeLengthFunction, n: int, D: int) -> float:
     """sum over all x in X^n of 2^-H(x), by full enumeration (guarded)."""
     if n < 0 or D < 2:
         raise ValueError("need n >= 0 and D >= 2")
-    if D**n > KRAFT_ENUM_GUARD:
+    if exceeds_enum_guard(D, n):
         raise BudgetError(f"enumeration of {D}^{n} strings exceeds the guard")
     alpha = uniform_alphabet(D)
     return math.fsum(

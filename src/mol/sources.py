@@ -9,8 +9,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ._version import __version__
 from .codes import BudgetError, make_code
@@ -26,22 +24,27 @@ class SourceError(ValueError):
     """Invalid transition table or a non-ergodic chain."""
 
 
-def _graph_period(indptr_edges: list[list[int]]) -> int:
-    """gcd of cycle lengths of a strongly connected digraph, via BFS levels."""
-    n = len(indptr_edges)
+def _search(edges: list[list[int]]) -> tuple[list[int], int]:
+    """Search from node 0: each node's depth in the search tree (-1 where
+    unreached) and the gcd of depth(u) + 1 - depth(v) over the edges u -> v met.
+
+    On a strongly connected digraph that gcd is the period, the gcd of its
+    cycle lengths.
+    """
+    n = len(edges)
     level = [-1] * n
     level[0] = 0
     queue = [0]
     g = 0
     while queue:
         u = queue.pop()
-        for v in indptr_edges[u]:
+        for v in edges[u]:
             if level[v] < 0:
                 level[v] = level[u] + 1
                 queue.append(v)
             else:
                 g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g else 0
+    return level, abs(g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,14 +180,16 @@ def _check_ergodic(T: np.ndarray, D: int) -> None:
         return
     rows, cols = np.nonzero(T)
     dest = (rows * D + cols) % S
-    graph = csr_matrix((np.ones(rows.size), (rows, dest)), shape=(S, S))
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
-    if n_comp != 1:
-        raise SourceError("context chain is reducible")
-    adjacency = [[] for _ in range(S)]
+    forward = [[] for _ in range(S)]
+    backward = [[] for _ in range(S)]
     for u, v in zip(rows.tolist(), dest.tolist()):
-        adjacency[u].append(v)
-    if _graph_period(adjacency) != 1:
+        forward[u].append(v)
+        backward[v].append(u)
+    # strongly connected iff context 0 reaches every context and every context reaches it
+    level, period = _search(forward)
+    if min(level) < 0 or min(_search(backward)[0]) < 0:
+        raise SourceError("context chain is reducible")
+    if period != 1:
         raise SourceError("context chain is periodic")
 
 

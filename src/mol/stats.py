@@ -484,12 +484,19 @@ class FrequencyIndex:
 
         Equal grams keep equal ids inside any window, so the window's counts,
         and their order by position, are those of an index built on the slice.
+        Above the maximal repetition every k-gram and (k+1)-gram occurs once, so
+        h_k is 0.0; a query more than one length past the refined grams asks for
+        the maximal repetition, O(n log n), instead of refining up to k + 1.
         """
         if not 0 <= start <= start + k < stop <= self.n:
             raise ValueError(
                 f"need 0 <= start <= start + k < stop <= n, got k={k}, "
                 f"window=({start}, {stop}), n={self.n}"
             )
+        # a stepwise query finds k - 1 refined and never takes the max
+        if k - 1 not in self._gids and k > max(self._gids, default=0) + 1:
+            if k > self.max_repetition():
+                return 0.0
         m = stop - start - k
         ids_k = self.gram_ids(k)[start : start + m]
         ids_k1 = self.gram_ids(k + 1)[start : start + m]

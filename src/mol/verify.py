@@ -201,6 +201,8 @@ class Workspace:
 # -- suites ------------------------------------------------------------------
 
 SUITES: dict = {}
+# the suites that never read Workspace.exhaustive(), every string up to exhaustive_max_n
+UNIVERSE_FREE = frozenset({"kraft", "ppm-identities"})
 
 
 def _suite(name: str):

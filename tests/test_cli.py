@@ -368,8 +368,47 @@ def test_verify_kraft_nmax_beyond_guard_fails_fast(capsys, d, nmax):
     assert f"--kraft-nmax {nmax}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--suite", "h-forms"], ["--suite", "mi-vocab-bound"], ["--kraft-nmax", "1"],
+    ["--suite", "kraft", "--suite", "order-le-kt", "--kraft-nmax", "2"],
+])
+def test_verify_universe_beyond_guard_fails_fast(capsys, monkeypatch, argv):
+    def build(self, n):
+        raise AssertionError(f"built the strings of length {n}")
+
+    monkeypatch.setattr(Workspace, "of_length", build)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--d", "16", "--cases", "0", *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("mol: invalid config:") and err.count("\n") == 1
+    assert "--nmax 10" in err and "16^10" in err
+
+
+def test_verify_universe_unguarded_for_suites_that_never_read_it(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--d", "16", "--suite", "ppm-identities",
+                           "--suite", "kraft", "--kraft-nmax", "2", "--cases", "0")
+    assert code == 0
+    assert out.count("PASS") == 2
+
+
 def test_verify_kraft_nmax_ignored_without_kraft_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "h-forms", "--nmax", "3",
                            "--cases", "0", "--kraft-nmax", "40")
     assert code == 0
     assert out.startswith("h-forms") and out.rstrip().endswith("PASS")
+
+
+def test_no_command_imports_scipy():
+    probe = (
+        "import sys, mol, mol.cli\n"
+        "try:\n"
+        "    mol.cli.main(['--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

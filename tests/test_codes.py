@@ -25,6 +25,7 @@ from mol import (
     ppm_log_measure_closed,
     ppm_semidistribution_entropy,
 )
+from mol.codes import _lg_factorial, _zeta2_tail
 
 from oracles import (
     all_strings,
@@ -140,6 +141,36 @@ def test_repetitive_inputs_cost_no_quadratic_time(period, kt):
         assert ppm_log_measure(short, k) == pytest.approx(
             ppm_log_measure_closed(short, k), abs=1e-9
         )
+
+
+# -- log-factorial and the zeta(2) tail ----------------------------------------
+
+
+def test_lg_factorial_matches_a_sum_of_logs():
+    ms = list(range(2001)) + [10**5]
+    logs = [0.0] + [math.log2(i) for i in range(1, ms[-1] + 1)]
+    got = _lg_factorial(np.array(ms))
+    assert got.shape == (len(ms),) and float(_lg_factorial(10**5)) == got[-1]
+    for m, value in zip(ms, got.tolist()):
+        assert math.isclose(value, math.fsum(logs[: m + 1]), rel_tol=1e-13)
+
+
+def _zeta2_tail_bounds(m: int):
+    """sum_{j > m} 1/j^2 from below and above: the terms up to N directly, and
+    1/(N + 1/2) - 1/(12 N^3) < sum_{j > N} 1/j^2 < 1/(N + 1/2) by the midpoint rule."""
+    N = max(2 * m, 20000)
+    direct = math.fsum([1.0 / (j * j) for j in range(m + 1, N + 1)])
+    return direct + 1.0 / (N + 0.5) - 1.0 / (12.0 * N**3), direct + 1.0 / (N + 0.5)
+
+
+@pytest.mark.parametrize("m", list(range(101)) + [10**3, 10**4, 10**5, 10**6])
+def test_zeta2_tail_matches_a_direct_sum(m):
+    lo, hi = _zeta2_tail_bounds(m)
+    assert lo * (1 - 1e-15) <= _zeta2_tail(m) <= hi * (1 + 1e-15)
+
+
+def test_zeta2_tail_at_zero_is_zeta_two():
+    assert _zeta2_tail(0) == math.pi**2 / 6
 
 
 # -- mixture semi-distribution -----------------------------------------------

@@ -54,6 +54,20 @@ def test_absorbing_chain_rejected():
         make_markov(2, 1, transition=[[1.0, 0.0], [0.5, 0.5]])
 
 
+def test_chain_that_never_returns_to_its_first_context_rejected():
+    # context 0 reaches context 1, which then never leaves
+    with pytest.raises(SourceError, match="reducible"):
+        make_markov(2, 1, transition=[[0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(SourceError, match="reducible"):
+        make_markov(2, 2, transition=[[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.0, 1.0]])
+
+
+def test_strongly_connected_chain_with_zeros_accepted():
+    # the golden-mean shift: 1 is always followed by 0
+    src = make_markov(2, 1, transition=[[0.5, 0.5], [1.0, 0.0]])
+    assert src.stationary == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
+
+
 def test_periodic_chain_rejected():
     # deterministic alternation has period two
     with pytest.raises(SourceError):

@@ -357,6 +357,38 @@ def test_weighted_monotone_and_zero_beyond_maxrep(ids):
             assert profile.h[k] == 0.0
 
 
+def _windows(n: int, k: int) -> list:
+    return [(a, b) for a, b in ((0, n), (1, n), (0, n - 1), (n // 3, n - n // 3)) if a + k < b]
+
+
+@pytest.mark.parametrize("D, ids", [
+    (4, np.random.default_rng(3).integers(0, 4, 300).tolist()),
+    (2, _periodic_with_a_flip(7, 300, 2)),
+    (3, [0, 1, 2] * 100),
+    (2, [1] * 200),
+])
+def test_windows_past_the_maximal_repetition_refine_nothing(monkeypatch, D, ids):
+    x = seq(ids, D)
+    n = len(x)
+    L = stats.FrequencyIndex(x).max_repetition()
+    # the reference refines one gram length at a time and never asks for L
+    ref = stats.FrequencyIndex(x)
+    want = {(k, a, b): ref.window_cond_entropy(k, a, b) for k in range(n) for a, b in _windows(n, k)}
+    assert ref._maxrep is None
+    refined = []
+    refine = stats.FrequencyIndex._refine
+    monkeypatch.setattr(stats.FrequencyIndex, "_refine",
+                        lambda self, prev, length: refined.append(length) or refine(self, prev, length))
+    idx = stats.FrequencyIndex(x)
+    for k in range(n - 1, L, -1):
+        for a, b in _windows(n, k):
+            assert idx.window_cond_entropy(k, a, b) == want[k, a, b] == 0.0
+    assert refined == []
+    for k in range(min(L, n - 1), -1, -1):
+        for a, b in _windows(n, k):
+            assert idx.window_cond_entropy(k, a, b) == want[k, a, b]
+
+
 # -- inequalities for shifted strings ---------------------------------------
 
 
