@@ -153,6 +153,7 @@ def _cmd_estimate(args) -> int:
         "backend": args.backend,
         "ppm_exact": args.ppm_exact,
         "mode": mode,
+        "alphabet": alphabet,
         "kt": args.kt,
         "mgz": args.mgz,
         "ram": list(ram) if ram else None,
@@ -224,6 +225,8 @@ def _cmd_profile(args) -> int:
     profile = build_index(x).profile(kmax)
     config = {
         "command": "profile",
+        "mode": mode,
+        "alphabet": alphabet,
         "ppm_exact": args.ppm_exact,
         "kmax": args.kmax,
         "blocks": blocks,

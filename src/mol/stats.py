@@ -14,13 +14,30 @@ import numpy as np
 from .sequence import Sequence
 
 
+_CHUNK = 1 << 12  # the shortest slice of a long elementwise pass
+
+
+def _slices(size: int):
+    """Slices that cover range(size) in at most 16 steps of at least _CHUNK.
+    Long elementwise passes go a slice at a time, so that their temporaries
+    stay within about a sixteenth of the arrays they read."""
+    step = max(_CHUNK, -(-size // 16))
+    return (slice(a, a + step) for a in range(0, size, step))
+
+
+def _narrow(n: int):
+    """Integer type of the arrays that only hold values up to n: ranks, lcps and
+    counts, never gather indices."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 def _packed_words(x: np.ndarray, D: int):
     """(W, s, b): W[i] packs x[i : i+s] as symbol + 1 in b = D.bit_length() bits,
     the first symbol highest, with 0 past the end; W[n] = 0 closes the array.
 
     s is the largest power of two with s * b <= 64, so two words compare as
     unsigned ints the way their s-grams compare, the end of the string below
-    every symbol. W is built by log2 s shift-or doublings.
+    every symbol. W is built by log2 s shift-or doublings between two buffers.
     """
     n = int(x.size)
     b = D.bit_length()
@@ -28,74 +45,108 @@ def _packed_words(x: np.ndarray, D: int):
     W = np.zeros(n + s, dtype=np.uint64)
     W[:n] = x
     W[:n] += np.uint64(1)
+    V = np.zeros(n + s, dtype=np.uint64)  # its zeros past n stay
     w = 1
     while w < s:
-        W[:n] = (W[:n] << np.uint64(w * b)) | W[w : n + w]
+        np.left_shift(W[:n], np.uint64(w * b), out=V[:n])
+        V[:n] |= W[w : n + w]
+        W, V = V, W
         w *= 2
     return W[: n + 1], s, b
 
 
 def _bit_length(v: np.ndarray) -> np.ndarray:
-    """Position of the highest set bit, plus one, of each uint64: the frexp
-    exponent of its higher 32-bit half plus 32, or else of its lower half.
-    Each half is exact as a float64, and frexp(0) has exponent 0."""
-    hi = np.frexp((v >> np.uint64(32)).astype(np.float64))[1]
-    lo = np.frexp((v & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
-    return np.where(hi > 0, hi + 32, lo)
+    """Position of the highest set bit, plus one, of each uint64, as uint8: the
+    popcount of v with its bits smeared downward. v is overwritten."""
+    for k in (1, 2, 4, 8, 16, 32):
+        v |= v >> np.uint64(k)
+    return np.bitwise_count(v)
 
 
-def _lcp_array(W: np.ndarray, s: int, b: int, sa: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """lcp[r] = lcp(suffix sa[r-1], suffix sa[r]), from the packed words W.
+def _lcp_array(x: np.ndarray, D: int, sa: np.ndarray) -> np.ndarray:
+    """lcp[r] = lcp(suffix sa[r-1], suffix sa[r]), from the packed words of x.
 
-    Each text position i is paired with its suffix-array predecessor j (the Phi
-    array). XOR of W[i + h] and W[j + h] is zero for s more equal symbols, else
-    its highest set bit lies in the first differing symbol, the first of the s
-    b-bit fields being the highest. One such round over all pairs closes every
-    lcp below s.
+    Each suffix-array neighbour pair (j, i) = (sa[r-1], sa[r]) compares W[i] with
+    W[j]: their XOR is zero for s more equal symbols, else its highest set bit
+    lies in the first differing symbol, the first of the s b-bit fields being the
+    highest. One such round over all pairs closes every lcp below s.
 
     An open pair is reducible when x[i-1] == x[j-1]: then plcp[i] = plcp[i-1] - 1
     (Kärkkäinen, Manzini & Puglisi 2009). The others, irreducible, sum to at
     most 2 n log n symbols; they compare k words a round, k doubling while the
-    open pairs times k stay within n. Each run of reducible positions then
-    counts down from the irreducible pair just before it.
+    open pairs times k stay within n / 4. t[i] = plcp[i] + i never decreases
+    along the text and stays flat over each run of reducible positions, so a
+    running maximum over t gives each of them the t of the pair before the run:
+    their round-0 value s + i lies below it.
     """
-    n = int(rank.size)
+    W, s, b = _packed_words(x, D)
+    n = int(sa.size)
     width = s * b
-    j = sa[rank - 1]
-    j[sa[0]] = n  # the first suffix meets the zero word W[n], so its lcp is 0
-    diff = W[:n] ^ W[j]
-    plcp = (width - _bit_length(diff)).astype(np.int64) // b  # indexed by text position
-    i = np.flatnonzero(diff == 0)  # equal words: plcp[i] = s so far
+    lead = np.uint64(width - b)
+    diff = W[sa[1:]]
+    diff ^= W[sa[:-1]]
+    bits = _bit_length(diff)  # 0 where s more symbols are equal
     del diff
-    j = j[i]
+    t = np.empty(n, dtype=np.int64)  # plcp[i] + i, by text position i
+    t[sa[0]] = sa[0]  # the first suffix meets the zero word W[n], so its lcp is 0
+    got = bits.astype(np.int64)
+    np.subtract(width, got, out=got)
+    got //= b
+    got += sa[1:]
+    t[sa[1:]] = got
+    del got
     # the leading field of W[i - 1] is x[i - 1] + 1; at i = 0 the index -1 reads
     # the zero word W[n], so a pair at text position 0 or meeting suffix 0 is
     # irreducible
-    lead = np.uint64(width - b)
-    irreducible = (W[i - 1] >> lead) != (W[j - 1] >> lead)
-    reducible = i[~irreducible]
-    i, j = i[irreducible], j[irreducible]
+    pairs = []
+    still = (bits == 0).nonzero()[0]
+    del bits
+    still += 1  # the ranks of the pairs still open
+    for at in _slices(still.size):
+        r = still[at]
+        i, j = sa[r], sa[r - 1]
+        irreducible = (W[i - 1] >> lead) != (W[j - 1] >> lead)
+        pairs.append((i[irreducible], j[irreducible]))
+    del still
+    i = j = sa[:0]
+    if pairs:
+        i = np.concatenate([p[0] for p in pairs])
+        j = np.concatenate([p[1] for p in pairs])
+    del pairs
     h, k = s, 1
     while i.size:
         step = h + s * np.arange(k)
-        # an index past the end reads the zero word W[n], like the fields past the end
-        words = W[np.minimum(i[:, None] + step, n)]
-        words ^= W[np.minimum(j[:, None] + step, n)]
-        col = (words != 0).argmax(axis=1)
-        first = words[np.arange(i.size), col]
-        plcp[i] = h + s * col + (width - _bit_length(first)) // b
-        open_ = first == 0
+        rows = max(1, n // (4 * k))
+        open_ = np.empty(i.size, dtype=bool)
+        for a in range(0, i.size, rows):
+            ib, jb = i[a : a + rows], j[a : a + rows]
+            # an index past the end reads the zero word W[n], like the fields past the end
+            at = ib[:, None] + step
+            np.minimum(at, n, out=at)
+            words = W[at]
+            np.add(jb[:, None], step, out=at)
+            np.minimum(at, n, out=at)
+            words ^= W[at]
+            del at
+            col = (words != 0).argmax(axis=1)
+            first = words[np.arange(ib.size), col]
+            del words
+            bits = _bit_length(first).astype(np.int64)
+            open_[a : a + rows] = bits == 0
+            np.subtract(width, bits, out=bits)
+            bits //= b
+            bits += h + ib
+            bits += s * col
+            t[ib] = bits
         i, j = i[open_], j[open_]
         h += s * k
-        k = min(2 * k, n // max(i.size, 1))
-    # a reducible r has plcp[r - 1] = plcp[r] + 1 > s, so each run of them starts
-    # right after an irreducible pair p
-    base = np.arange(n)
-    base[reducible] = 0
-    np.maximum.accumulate(base, out=base)
-    p = base[reducible]
-    plcp[reducible] = plcp[p] - (reducible - p)
-    return plcp[sa]
+        k = min(2 * k, max(1, n // (4 * max(i.size, 1))))
+    del W
+    np.maximum.accumulate(t, out=t)
+    lcp = t[sa]
+    del t
+    lcp -= sa
+    return lcp
 
 
 def _peel(val: np.ndarray, pl: np.ndarray, pr: np.ndarray, span: int):
@@ -109,8 +160,7 @@ def _peel(val: np.ndarray, pl: np.ndarray, pr: np.ndarray, span: int):
     left one at e - 1 and a falling one (the peak included) its right one at
     e + 1; the other side is one searchsorted over keys that sort by stretch
     and then by value, which needs span > every value. Returns the remaining
-    (val, pl, pr) and the closed intervals (value, parent, lb, rb), one tuple
-    for the rising and one for the falling elements.
+    (val, pl, pr) and the closed intervals as [value, parent, lb, rb] pieces.
     """
     m = val.size
     up = val[1:] > val[:-1]
@@ -119,49 +169,59 @@ def _peel(val: np.ndarray, pl: np.ndarray, pr: np.ndarray, span: int):
     rising = np.zeros(m, dtype=bool)
     rising[1:-1] = up[1:] & up[:-1]
     del up
-    sid = np.cumsum(valley) - 1  # stretch of each element; valley s opens stretch s
+    sid = valley.cumsum(dtype=val.dtype)
+    sid -= 1  # stretch of each element; valley s opens stretch s
     floor = val[valley]
     floor = np.maximum(floor[:-1], floor[1:])  # the higher valley of each stretch
-    e = np.flatnonzero(~valley)
-    e = e[val[e] > floor[sid[e]]]
+    closed = val > floor.take(sid, mode="clip")  # the last valley reads the last floor
+    closed &= ~valley
     del floor
-    keep = np.ones(m, dtype=bool)
-    keep[e] = False
-    rise = rising[e]
-    up_e, down_e = e[rise], e[~rise]
-    del e, rise
-    # a rising element ends before the first smaller element of its falling side,
-    # the right valley included, keyed stretch * span - value in rank order
-    side = np.flatnonzero(~rising)
-    key = (sid[side] - valley[side]) * span - val[side]
-    up_r = side[np.searchsorted(key, sid[up_e] * span - val[up_e], side="right")]
-    del side, key
+    span = np.int64(span)
+    got = []
+
+    def search(queries, side, stretch, add, close):
+        key = np.multiply(stretch[side], span, dtype=np.int64)
+        add(key, val[side], out=key)
+        # the closed intervals (value, parent, lb, rb), filled a slice at a time
+        columns = [np.empty(np.count_nonzero(queries), dtype=val.dtype) for _ in range(4)]
+        filled = 0
+        for at in _slices(m):
+            e = queries[at].nonzero()[0]
+            e += at.start
+            e, left, right = close(e, side, key, add(sid[e] * span, val[e]))
+            value, parent, lb, rb = (c[filled : filled + e.size] for c in columns)
+            val.take(e, out=value)
+            np.maximum(val[left], val[right], out=parent)
+            pr.take(left, out=lb)
+            pl.take(right, out=rb)
+            rb -= 1
+            filled += e.size
+        got.append([c[:filled] for c in columns])
+
+    def close_falling(e, side, key, q):
+        at = key.searchsorted(q)
+        new = key[at] != q  # an equal value on the rising side is the same interval
+        e = e[new]
+        return e, side[at[new] - 1], e + 1
+
+    def close_rising(e, side, key, q):
+        return e, e - 1, side[key.searchsorted(q, side="right")]
+
     # a falling element starts after the last smaller element of its rising side,
     # the left valley included, keyed stretch * span + value in rank order
-    side = np.flatnonzero(rising | valley)
-    del rising, valley
-    key = sid[side] * span + val[side]
-    q = sid[down_e] * span + val[down_e]
-    del sid
-    at = np.searchsorted(key, q)
-    new = key[at] != q  # an equal value on the rising side is the same interval
-    del key, q
-    down_l = side[at[new] - 1]
-    down_e = down_e[new]
-    del side, at, new
-
-    def emit(e, left, right):
-        return val[e], np.maximum(val[left], val[right]), pr[left], pl[right] - 1
-
-    got = [emit(up_e, up_e - 1, up_r)]
-    del up_e, up_r
-    got.append(emit(down_e, down_l, down_e + 1))
-    del down_e, down_l
+    search(closed & ~rising, (rising | valley).nonzero()[0], sid, np.add, close_falling)
+    # a rising element ends before the first smaller element of its falling side,
+    # the right valley included, keyed stretch * span - value in rank order
+    sid -= valley  # the right valley of a stretch
+    del valley
+    search(closed & rising, (~rising).nonzero()[0], sid, np.subtract, close_rising)
+    del rising, sid
     # merge the equal neighbours that the closed elements separated
-    rest = np.flatnonzero(keep)
-    del keep
-    head = np.ones(rest.size + 1, dtype=bool)
-    head[1:-1] = val[rest[1:]] != val[rest[:-1]]
+    rest = (~closed).nonzero()[0]
+    del closed
+    head = np.empty(rest.size + 1, dtype=bool)
+    head[0] = head[-1] = True
+    np.not_equal(val[rest[1:]], val[rest[:-1]], out=head[1:-1])
     first, last = rest[head[:-1]], rest[head[1:]]
     return val[first], pl[first], pr[last], got
 
@@ -177,25 +237,27 @@ def _lcp_intervals(lcp: np.ndarray):
     The equal runs of [0, lcp[1:], 0] become elements, and _peel closes them in
     rounds. Each round's valleys are local minima of the last round's, so there
     are at most log2 n + 1 rounds. The intervals come out in the post-order of a
-    bottom-up stack walk (by right end, inner before outer), so that sums over
-    them add in that order.
+    bottom-up stack walk (by right end, inner before outer). A caller that
+    passes its only reference to lcp lets it go before the first round.
     """
     n = int(lcp.size)
-    v = np.zeros(n + 1, dtype=np.int64)
+    narrow = _narrow(n + 1)
+    v = np.zeros(n + 1, dtype=narrow)
     v[1:n] = lcp[1:]
+    del lcp
     head = np.ones(n + 2, dtype=bool)
     head[1:-1] = v[1:] != v[:-1]
-    pl = np.flatnonzero(head[:-1])
-    pr = np.flatnonzero(head[1:])
+    pl = head[:-1].nonzero()[0].astype(narrow)
+    pr = head[1:].nonzero()[0].astype(narrow)
+    del head
     val = v[pl]
-    del v, head
-    parts = [[np.empty(0, dtype=np.int64)] for _ in range(4)]  # value, parent, lb, rb
+    del v
+    parts = [[np.empty(0, dtype=narrow)] for _ in range(4)]  # value, parent, lb, rb
     while val.size > 1:
         val, pl, pr, got = _peel(val, pl, pr, n + 1)
-        for side in got:
-            for part, piece in zip(parts, side):
-                part.append(piece)
-        del got, side
+        for c, part in enumerate(parts):
+            part.extend(piece[c] for piece in got)
+        del got
     del val, pl, pr
 
     def column(c):
@@ -204,14 +266,32 @@ def _lcp_intervals(lcp: np.ndarray):
         return col
 
     value, rb = column(0), column(3)
-    order = rb * (n + 1)
+    order = rb.astype(np.int64)
+    order *= n + 1
     order += n
     order -= value
-    order = np.argsort(order)
+    order = order.argsort()
     value, rb = value[order], rb[order]
     parent = column(1)[order]
     lb = column(2)[order]
     return value, parent, lb, rb
+
+
+def _rank_by_sort(key: np.ndarray, order=None):
+    """Replace each key by its rank among the distinct keys, by one argsort unless
+    the caller passes the order that sorts the keys. Returns the count of each
+    rank and that order. An unsigned key array gets the ranks through its
+    int64 view."""
+    if order is None:
+        order = key.argsort()
+    rank = key[order]  # the sorted keys, then their ranks
+    head = rank[1:] != rank[:-1]
+    rank = rank.view(np.int64)
+    rank[0] = 0
+    head.cumsum(dtype=np.int64, out=rank[1:])
+    del head
+    key.view(np.int64)[order] = rank
+    return np.bincount(rank), order
 
 
 # past this many count bins per key (plus a small floor) a counting rank's
@@ -219,70 +299,152 @@ def _lcp_intervals(lcp: np.ndarray):
 _COUNT_BINS_PER_KEY = 4
 
 
-def _rank_by_sort(key: np.ndarray):
-    """(ids, counts) as _dense_rank gives them, by one sort of the keys."""
-    _, inv, cnt = np.unique(key, return_inverse=True, return_counts=True)
-    return inv.astype(np.int64), cnt.astype(np.int64)
-
-
-def _dense_rank(key: np.ndarray, size: int):
-    """(ids, counts): the rank of each key among the distinct keys, 0 <= key < size,
-    and the count of each distinct key in rank order.
+def _dense_rank(key: np.ndarray, size: int, order=None):
+    """Replace each key, 0 <= key < size, by its rank among the distinct keys.
+    Returns the count of each rank and, where it sorted, the order that sorts
+    the keys (else None).
 
     Counts into a table of `size` bins, O(m + size), unless the table would be
-    large next to the m keys; then it sorts, O(m log m). Both give the same ranks.
+    large next to the m keys; then it sorts, O(m log m). An order that sorts
+    the keys but within ties, as the last round of a prefix doubling leaves
+    them, is finished by a stable sort, which is fast on such input. Both give
+    the same ranks.
     """
     if size > _COUNT_BINS_PER_KEY * key.size + 64:
-        return _rank_by_sort(key)
-    cnt = np.bincount(key, minlength=size)
-    seen = cnt > 0
-    return (np.cumsum(seen) - 1)[key], cnt[seen]
+        if order is not None:
+            order = order[key[order].argsort(kind="stable")]
+        return _rank_by_sort(key, order)
+    table = np.bincount(key, minlength=size)
+    counts = table[table > 0]
+    np.minimum(table, 1, out=table)
+    table.cumsum(out=table)
+    table -= 1  # the rank of each seen key
+    # every key is read before its own slot is written
+    table.take(key, out=key, mode="clip")
+    return counts, None
 
 
-def _suffix_array(W: np.ndarray, s: int):
-    """(sa, rank): the suffix array by prefix doubling, O(n log n), and its inverse.
+def _suffix_array(x: np.ndarray, D: int) -> np.ndarray:
+    """The suffix array of x by prefix doubling, O(n log n).
 
-    Round 0 ranks the packed words, that is the first s symbols of each suffix;
-    each later round ranks the pair (rank of the first h symbols, rank of the
-    next h or none past the end), with the same count-or-sort ranking as the
-    gram ids, until every suffix has its own rank.
+    Round 0 sorts the packed words, that is the first s symbols of each suffix,
+    and ranks them in the words' own buffer; each later round ranks the pair
+    (rank of the first h symbols, rank of the next h or none past the end)
+    with the same count-or-sort ranking as the gram ids, handing on the last
+    sorting order, until every suffix has its own rank. That order is then the
+    suffix array.
     """
-    n = int(W.size) - 1
-    rank, cnt = _rank_by_sort(W[:n])
+    n = int(x.size)
+    W, s, _ = _packed_words(x, D)
+    rank = W[:n]
+    del W
+    counts, order = _rank_by_sort(rank)
+    G = counts.size
+    del counts
+    rank = rank.view(np.int64)
     h = s
-    while cnt.size < n:
-        G = cnt.size
+    while G < n:
         key = rank * (G + 1)
-        key[: n - h] += rank[h:] + 1
-        rank, cnt = _dense_rank(key, G * (G + 1))
+        key[: n - h] += rank[h:]
+        key[: n - h] += 1
+        del rank
+        counts, order = _dense_rank(key, G * (G + 1), order)
+        G = counts.size
+        del counts
+        rank, key = key, None
         h *= 2
+    if order is not None:
+        return order
     sa = np.empty(n, dtype=np.int64)
     sa[rank] = np.arange(n)
-    return sa, rank
+    return sa
 
 
-def _final_gram_counts(rank, value, lb, rb, cnt, levels: int) -> np.ndarray:
-    """s[l] = occurrences of the final l-gram of the text, for l < levels.
+def _by_level(target: np.ndarray, shift: int, blocks: int, *columns):
+    """The entries with target >> shift == c, for c < blocks <= 2^16: one tuple
+    (target, *columns) per block, each in the order of the input."""
+    if blocks == 1:
+        return [(target, *columns)]
+    block = (target >> shift).astype(np.uint16)
+    order = block.argsort(kind="stable")
+    ends = np.bincount(block, minlength=blocks).cumsum()
+    del block
+    got, a = [], 0
+    for e in ends.tolist():
+        at = order[a:e]
+        got.append((target[at], *(c[at] for c in columns)))
+        a = e
+    return got
 
-    A function of its own, so that its n-long temporaries are freed before the
-    PPM pass builds its level sums.
+
+def _ppm_table(n: int, D: int, L: int, intervals: list, s: np.ndarray) -> np.ndarray:
+    """-log2 PPM_k for k = 0..min(L, n-2), from the lcp-intervals as a list
+    [value, parent, count] in post-order, which it empties, and the count s[k]
+    of the final k-gram for k <= L.
+
+    G_l[f] sums f(count) over the intervals with parent < l <= value: each adds
+    at level parent + 1 and subtracts at level value + 1, and a running sum
+    over the levels gives G_l. The levels go `step` at a time, so no array is
+    as long as L. Within a level the entries add in post-order and then
+    subtract in post-order, one at a time, as np.add.at over the whole list
+    would.
     """
-    n = int(rank.size)
-    s = np.ones(levels, dtype=np.int64)
-    s[0] = n + 1
-    # the suffix of length v lies in a v-interval iff the final v-gram repeats
-    r = rank[n - value]
-    hit = (lb <= r) & (r <= rb)
-    s[value[hit]] = cnt[hit]
-    return s
-
-
-def _level_sums(lo: np.ndarray, hi: np.ndarray, w: np.ndarray, levels: int) -> np.ndarray:
-    """out[l] = sum of w[j] over the j with lo[j] < l <= hi[j], for l < levels."""
-    diff = np.zeros(levels + 1, dtype=w.dtype)
-    np.add.at(diff[1:], lo, w)
-    np.subtract.at(diff[1:], hi, w)
-    return np.cumsum(diff[:levels])
+    value, parent, cnt = intervals
+    intervals.clear()
+    levels = L + 2
+    K = min(L, n - 2) + 1
+    shift = max(_CHUNK.bit_length() - 1, (levels - 1).bit_length() - 16)
+    step, blocks = 1 << shift, ((levels - 1) >> shift) + 1  # at most 2^16 blocks
+    parent += 1
+    adds = _by_level(parent, shift, blocks, cnt)
+    del parent
+    value += 1
+    subs = _by_level(value, shift, blocks, cnt)
+    del value, cnt
+    # lgf[c] = log2(c!)
+    lgf = np.arange(n + D + 1, dtype=np.longdouble)
+    np.log2(lgf[1:], out=lgf[1:])
+    lgf[1:].cumsum(out=lgf[1:])
+    log_d, w0 = np.log2(np.longdouble(D)), lgf[D - 1]
+    out = []
+    # the sums of log2 c!, h(c) = log2((c+D-1)!/(D-1)!) and c from the level
+    # before the block on, the first entry carried over from the last block
+    carry = [np.longdouble(0), np.longdouble(0), 0]
+    for c in range(blocks):
+        a = c * step
+        sums = []
+        for g, dtype in zip(carry, (np.longdouble, np.longdouble, np.int64)):
+            sums.append(np.zeros(min(step, levels - a) + 1, dtype=dtype))
+            sums[-1][0] = g
+        for at, (target, cnt) in ((np.add.at, adds[c]), (np.subtract.at, subs[c])):
+            for e in _slices(target.size):
+                to = np.subtract(target[e], a - 1, dtype=np.intp)
+                m = cnt[e].astype(np.intp)
+                at(sums[0], to, lgf[m])
+                w = lgf[m + (D - 1)]
+                w -= w0
+                at(sums[1], to, w)
+                at(sums[2], to, m)
+        for g in sums:
+            g.cumsum(out=g)
+        carry = [g[-1] for g in sums]
+        lo, hi = max(a - 1, 0), min(a + step - 1, K)
+        if lo < hi:
+            # bits[k] reads G_{k+1}[log2 c!], G_k[h] and G_k[c], at entry k + 1 - a
+            k = np.arange(lo, hi)
+            A = sums[0][lo + 2 - a : hi + 2 - a]
+            Gh, C = (g[lo + 1 - a : hi + 1 - a] for g in sums[1:])
+            # each l-gram outside every interval occurs once and adds h(1) = log2 D
+            Gh = Gh + log_d * (n - k + 1 - C)
+            if lo == 0:
+                Gh[0] = lgf[n + D] - w0  # the empty word occurs n + 1 times
+            log_s = (s[lo:hi] + (D - 1)).astype(np.longdouble)
+            np.log2(log_s, out=log_s)
+            bits = k * log_d - A + Gh - log_s
+            out.append(bits.astype(np.float64))
+        adds[c] = subs[c] = None
+    del lgf
+    return np.concatenate(out)
 
 
 def count_in_prefix(xs: np.ndarray, w: np.ndarray, m: int) -> int:
@@ -335,8 +497,8 @@ class FrequencyIndex:
 
     Distinct k-grams are exposed as dense integer group ids per starting
     position; counts, vocabulary sizes and conditional entropies are all
-    derived from those. The inverse suffix array with its LCP table, built
-    once, backs the maximal repetition and the PPM code lengths of every order.
+    derived from those. The suffix array and its LCP table, built once, back
+    the maximal repetition and the PPM code lengths of every order.
     """
 
     def __init__(self, seq: Sequence):
@@ -345,8 +507,8 @@ class FrequencyIndex:
         self._x = seq.ids
         self._gids: dict[int, np.ndarray] = {}
         self._gcounts: dict[int, np.ndarray] = {}
-        self._rank = None  # inverse suffix array
         self._lcp = None
+        self._tail = None  # _tail[v]: rank of the suffix of length v, for v <= L
         self._maxrep = None
         self._ppm = None
         self._h_cache: dict[int, float] = {}
@@ -367,7 +529,8 @@ class FrequencyIndex:
         if got is None:
             base = max((j for j in self._gids if j < k), default=None)
             if base is None:
-                ids = np.zeros(self.n + 1, dtype=np.int64)
+                # one id for every start: a read-only view of a single zero
+                ids = np.broadcast_to(np.int64(0), (self.n + 1,))
                 cnt = np.array([self.n + 1], dtype=np.int64)
                 self._gids[0], self._gcounts[0] = ids, cnt
                 base = 0
@@ -388,7 +551,7 @@ class FrequencyIndex:
         m = self.n - length + 1
         D = self.seq.alphabet.size
         key = prev[:m] * D + self._x[length - 1 : length - 1 + m]
-        return _dense_rank(key, self._gcounts[length - 1].size * D)
+        return key, _dense_rank(key, self._gcounts[length - 1].size * D)[0]
 
     def gram_counts(self, k: int) -> np.ndarray:
         """Occurrence count N(w | x_1^n) per group id, for length-k grams."""
@@ -422,10 +585,19 @@ class FrequencyIndex:
         if self.n < 1:
             raise ValueError("maximal repetition needs a non-empty sequence")
         if self._maxrep is None:
-            W, s, b = _packed_words(self._x, self.seq.alphabet.size)
-            sa, self._rank = _suffix_array(W, s)
-            self._lcp = _lcp_array(W, s, b, sa, self._rank)
-            self._maxrep = int(self._lcp.max()) if self.n > 1 else 0
+            n, D = self.n, self.seq.alphabet.size
+            sa = _suffix_array(self._x, D)
+            lcp = _lcp_array(self._x, D, sa)
+            L = self._maxrep = int(lcp.max()) if n > 1 else 0
+            # the suffix of length v <= L is the first of its v-interval when the
+            # final v-gram repeats
+            self._tail = np.empty(L + 1, dtype=_narrow(n))
+            for at in _slices(n):
+                r = (sa[at] >= n - L).nonzero()[0]
+                r += at.start
+                self._tail[n - sa[r]] = r
+            del sa
+            self._lcp = lcp.astype(_narrow(n))
         return self._maxrep
 
     def ppm_code_lengths(self) -> np.ndarray:
@@ -448,36 +620,28 @@ class FrequencyIndex:
         return self._ppm
 
     def _ppm_pass(self) -> np.ndarray:
-        n, D = self.n, self.seq.alphabet.size
         L = self.max_repetition()
-        value, parent, lb, rb = _lcp_intervals(self._lcp)
-        cnt = rb - lb + 1
-        levels = L + 2
-        s = _final_gram_counts(self._rank, value, lb, rb, cnt, levels)
-        self._rank = self._lcp = None  # nothing else reads them
-        # lgf[c] = log2(c!)
-        lgf = np.arange(n + D + 1, dtype=np.longdouble)
-        np.log2(lgf[1:], out=lgf[1:])
-        np.cumsum(lgf[1:], out=lgf[1:])
-        A = _level_sums(parent, value, lgf[cnt], levels)
-        w = lgf[cnt + D - 1]
-        w -= lgf[D - 1]
-        B = _level_sums(parent, value, w, levels)
-        del w
-        C = _level_sums(parent, value, cnt, levels)
-        log_d = np.log2(np.longdouble(D))
-        # K reaches n on constant and periodic strings, so B and log_s are
-        # updated in place to keep the peak memory down
-        K = min(L, n - 2) + 1
-        k = np.arange(K)
-        # each l-gram outside every interval occurs once and adds h(1) = log2 D
-        Gh = B[:K]
-        Gh += log_d * (n - k + 1 - C[:K])
-        Gh[0] = lgf[n + D] - lgf[D - 1]  # the empty word occurs n + 1 times
-        log_s = (s[:K] + D - 1).astype(np.longdouble)
-        np.log2(log_s, out=log_s)
-        bits = k * log_d - A[1 : K + 1] + Gh - log_s
-        return bits.astype(np.float64)
+        tail, self._tail = self._tail, None
+        value, parent, lb, rb = _lcp_intervals(self._lcp_once())
+        rb -= lb
+        rb += 1  # the count of each interval
+        # s[k], the count of the final k-gram, is 1 unless the suffix of length
+        # k opens an interval of value k, which then counts it; the empty word
+        # occurs n + 1 times
+        s = np.ones(L + 2, dtype=rb.dtype)
+        hit = tail[value] == lb
+        del tail, lb
+        s[value[hit]] = rb[hit]
+        s[0] = self.n + 1
+        intervals = [value, parent, rb]
+        del value, parent, rb, hit
+        return _ppm_table(self.n, self.seq.alphabet.size, L, intervals, s)
+
+    def _lcp_once(self) -> np.ndarray:
+        """The LCP table, which only the PPM pass reads after the maximal
+        repetition; the index lets go of it."""
+        lcp, self._lcp = self._lcp, None
+        return lcp
 
     def window_cond_entropy(self, k: int, start: int, stop: int) -> float:
         """h_k of the window x[start:stop] (0-based, half-open), from shared gram ids.
@@ -503,8 +667,11 @@ class FrequencyIndex:
         # ids absent from the window count 0 and are never gathered
         log_k = np.log2(np.maximum(np.bincount(ids_k), 1))
         log_k1 = np.log2(np.maximum(np.bincount(ids_k1), 1))
-        terms = log_k[ids_k] - log_k1[ids_k1]
-        return float(terms.sum()) / m
+        # one gather subtracted from the other in place, then the same pairwise
+        # sum as terms.sum() without its Python-level wrapper
+        terms = log_k[ids_k]
+        terms -= log_k1[ids_k1]
+        return float(np.add.reduce(terms)) / m
 
     def cond_entropy(self, k: int) -> float:
         """Empirical conditional entropy h_k(x_1^n) in bits, for 0 <= k < n.

@@ -95,6 +95,48 @@ def lcp_intervals_oracle(lcp):
     return tuple(np.frombuffer(a, dtype=np.int64) for a in (value, parent, lb, rb))
 
 
+def ppm_table_oracle(ids, D: int, sa=None, lcp=None) -> np.ndarray:
+    """-log2 PPM_k for k = 0..min(L, n-2) from the stack walk's intervals, with
+    one np.add.at per level sum over the whole list in the walk's order, in
+    extended precision: the additions, and so the bits, that the PPM table
+    must reproduce. sa and lcp default to the oracles above."""
+    ids = list(ids)
+    n = len(ids)
+    sa = suffix_array_oracle(ids) if sa is None else sa
+    lcp = lcp_oracle(ids) if lcp is None else lcp
+    L = int(max(lcp))
+    value, parent, lb, rb = lcp_intervals_oracle(lcp)
+    cnt = rb - lb + 1
+    levels = L + 2
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.asarray(sa)] = np.arange(n)
+    s = np.ones(levels, dtype=np.int64)  # counts of the final grams
+    s[0] = n + 1
+    r = rank[n - value]
+    hit = (lb <= r) & (r <= rb)
+    s[value[hit]] = cnt[hit]
+    lgf = np.arange(n + D + 1, dtype=np.longdouble)  # log2 c!
+    np.log2(lgf[1:], out=lgf[1:])
+    np.cumsum(lgf[1:], out=lgf[1:])
+
+    def level_sums(w):
+        diff = np.zeros(levels + 1, dtype=w.dtype)
+        np.add.at(diff[1:], parent, w)
+        np.subtract.at(diff[1:], value, w)
+        return np.cumsum(diff[:levels])
+
+    A = level_sums(lgf[cnt])
+    B = level_sums(lgf[cnt + D - 1] - lgf[D - 1])
+    C = level_sums(cnt)
+    log_d = np.log2(np.longdouble(D))
+    K = min(L, n - 2) + 1
+    k = np.arange(K)
+    Gh = B[:K] + log_d * (n - k + 1 - C[:K])
+    Gh[0] = lgf[n + D] - lgf[D - 1]
+    log_s = np.log2((s[:K] + D - 1).astype(np.longdouble))
+    return (k * log_d - A[1 : K + 1] + Gh - log_s).astype(np.float64)
+
+
 def h_position_oracle(ids, k: int) -> float:
     ids = list(ids)
     n = len(ids)

@@ -124,6 +124,37 @@ def test_alphabet_must_be_a_json_array_of_strings(capsys, tmp_path, command):
     assert out == "" and err.startswith("mol: i/o error:")
 
 
+@pytest.mark.parametrize(
+    "argv, first, second",
+    [
+        (["estimate"], ["--mode", "bytes"], ["--mode", "tokens"]),
+        (["estimate"], ["--alphabet", ["a", "b", "c"]], ["--alphabet", ["a", "b", "c", "d"]]),
+        (["profile", "--kmax", "2"], ["--mode", "bytes"], ["--mode", "tokens"]),
+        # h_k does not depend on the alphabet size, the PPM code of the MI table does
+        (["profile", "--kmax", "2", "--blocks", "3"], ["--alphabet", ["a", "b", "c"]],
+         ["--alphabet", ["a", "b", "c", "d"]]),
+    ],
+)
+def test_config_hash_covers_how_the_input_is_read(capsys, tmp_path, argv, first, second):
+    data = tmp_path / "tokens.txt"
+    data.write_text("a b a b c a b b a c", encoding="utf-8")
+    outputs = []
+    for i, flags in enumerate((first, second)):
+        args = list(argv)
+        for flag in flags:
+            if isinstance(flag, list):
+                path = tmp_path / f"alphabet{i}.json"
+                path.write_text(json.dumps(flag), encoding="utf-8")
+                flag = str(path)
+            args.append(flag)
+        code, out, _ = run_cli(capsys, *args, "--format", "json", str(data))
+        assert code == 0
+        outputs.append(json.loads(out))
+    meta = [o.pop("meta") for o in outputs]
+    assert outputs[0] != outputs[1]
+    assert meta[0]["config_hash"] != meta[1]["config_hash"]
+
+
 def test_profile_rows(capsys, tmp_path):
     path = tmp_path / "p.bin"
     path.write_bytes(b"abracadabra" * 4)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mol import build_index, ingest, stats, sticky_chain
+from mol.codes import ppm_log_measure_closed
 
 from oracles import (
     all_strings,
@@ -15,6 +17,7 @@ from oracles import (
     lcp_intervals_oracle,
     lcp_oracle,
     maxrep_oracle,
+    ppm_table_oracle,
     seq,
     suffix_array_oracle,
     vocab_oracle,
@@ -84,7 +87,7 @@ def test_gram_ids_match_stacked_rows_in_both_rank_branches(data):
     sorted_lengths = []
     rank_by_sort = stats._rank_by_sort
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stats, "_rank_by_sort", lambda key: sorted_lengths.append(key.size) or rank_by_sort(key))
+        mp.setattr(stats, "_rank_by_sort", lambda key, *a: sorted_lengths.append(key.size) or rank_by_sort(key, *a))
         idx = build_index(seq(ids, D))
         for k in range(len(ids) + 1):
             ref_ids, ref_counts = _stacked_gram_reference(ids, k)
@@ -145,11 +148,10 @@ _CONSTANT = [0] * 1000  # its one irreducible pair, at position 0, takes five do
 @example((300, (np.array([0, 299])[sticky_chain(0.9).sample(400, seed=5).ids]).tolist()))
 def test_suffix_array_matches_oracle(D_ids):
     D, ids = D_ids
-    W, s, b = stats._packed_words(np.array(ids, dtype=np.int64), D)
-    sa, rank = stats._suffix_array(W, s)
+    x = np.array(ids, dtype=np.int64)
+    sa = stats._suffix_array(x, D)
     assert sa.tolist() == suffix_array_oracle(ids)
-    assert rank[sa].tolist() == list(range(len(ids)))
-    assert stats._lcp_array(W, s, b, sa, rank).tolist() == lcp_oracle(ids)
+    assert stats._lcp_array(x, D, sa).tolist() == lcp_oracle(ids)
 
 
 def test_lcp_rounds_grow_with_the_log_of_the_longest_repeat():
@@ -174,7 +176,7 @@ def _assert_intervals_match_the_stack_walk(lcp):
     got = stats._lcp_intervals(lcp)
     want = lcp_intervals_oracle(lcp)
     for a, b in zip(got, want):
-        assert a.dtype == np.int64
+        assert a.dtype == stats._narrow(lcp.size + 1)  # held, never an index
         assert a.tolist() == b.tolist()
 
 
@@ -282,6 +284,72 @@ def test_maxrep_lower_bound(ids):
     n = len(ids)
     L = build_index(seq(ids)).max_repetition()
     assert L >= math.log2(n - math.log2(n)) - 1 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, ids, D",
+    [
+        ("fair", np.random.default_rng(3).integers(0, 2, 10**5), 2),
+        ("constant", np.zeros(10**5, dtype=np.int64), 2),
+        ("abcabd", np.tile([0, 1, 2, 0, 1, 3], 10**5 // 6 + 1)[: 10**5], 4),
+    ],
+)
+def test_exact_ppm_holds_under_48_bytes_per_symbol(name, ids, D):
+    # every stage of the pass (suffix array, LCP, lcp-intervals, level sums) on
+    # a fresh index, above the int64 ids; constant and periodic strings have
+    # as many levels as symbols
+    x = seq(ids, D)
+    idx = stats.FrequencyIndex(x)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        bits = idx.ppm_code_lengths()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert bits.size == min(idx.max_repetition(), len(x) - 2) + 1
+    assert peak < 48 * len(x), f"{name}: {peak / len(x):.1f} bytes per symbol"
+
+
+@given(_interval_ids())
+@example([0, 0])
+@example([0, 1])
+@example([0, 0, 0, 1, 0])
+def test_ppm_table_adds_in_the_stack_walks_order(ids):
+    D = max(ids) + 2
+    if len(ids) < 2:
+        return
+    got = build_index(seq(ids, D)).ppm_code_lengths()
+    assert got.view(np.uint64).tolist() == ppm_table_oracle(ids, D).view(np.uint64).tolist()
+
+
+def test_ppm_table_across_blocks_of_levels():
+    # the level sums go 4096 levels at a time; constant, periodic and doubled
+    # strings of some 10^4 symbols have L near n or n / 2, so several blocks
+    # carry their running sums.
+    # Over two symbols, -log2 PPM_k(0^n) = k + log2(n - k + 1) for k <= n - 2
+    n = 10**4
+    bits = build_index(seq([0] * n, 2)).ppm_code_lengths()
+    k = np.arange(n - 1)
+    np.testing.assert_allclose(bits, k + np.log2(n - k + 1), rtol=0, atol=1e-9)
+    x = seq([0, 1, 2, 0, 1, 3] * 1400, 4)
+    bits = build_index(x).ppm_code_lengths()
+    assert bits.size == len(x) - 5  # L = n - 6, one period short of the string
+    for k in (0, 1, 4094, 4095, 4096, 4097, 8190, bits.size - 1):
+        assert bits[k] == pytest.approx(ppm_log_measure_closed(x, k), abs=1e-9)
+    # and bit for bit the additions of one np.add.at per sum over all levels,
+    # also where a random half makes many intervals share a level
+    half = np.random.default_rng(7).integers(0, 2, 5000)
+    for x in (x, seq(np.concatenate([half, half]), 2)):
+        D = x.alphabet.size
+        sa = stats._suffix_array(x.ids, D)
+        want = ppm_table_oracle(x.ids, D, sa, stats._lcp_array(x.ids, D, sa))
+        got = build_index(x).ppm_code_lengths()
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 # -- conditional entropies ---------------------------------------------------
