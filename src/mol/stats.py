@@ -16,6 +16,9 @@ from .sequence import Sequence
 
 _CHUNK = 1 << 12  # the shortest slice of a long elementwise pass
 
+_ZERO = np.zeros(1, dtype=np.int64)  # the gram id of the empty word, shared read-only
+_ZERO.flags.writeable = False
+
 
 def _slices(size: int):
     """Slices that cover range(size) in at most 16 steps of at least _CHUNK.
@@ -56,11 +59,14 @@ def _packed_words(x: np.ndarray, D: int):
 
 
 def _bit_length(v: np.ndarray) -> np.ndarray:
-    """Position of the highest set bit, plus one, of each uint64, as uint8: the
-    popcount of v with its bits smeared downward. v is overwritten."""
+    """Position of the highest set bit, plus one, of each uint64: the frexp
+    exponent of v with every lower bit cleared, a power of two that a float64
+    holds exactly (frexp(0) has exponent 0). v is overwritten."""
     for k in (1, 2, 4, 8, 16, 32):
         v |= v >> np.uint64(k)
-    return np.bitwise_count(v)
+    v ^= v >> np.uint64(1)
+    f = v.astype(np.float64)
+    return np.frexp(f, out=(f, None))[1]
 
 
 def _lcp_array(x: np.ndarray, D: int, sa: np.ndarray) -> np.ndarray:
@@ -530,7 +536,7 @@ class FrequencyIndex:
             base = max((j for j in self._gids if j < k), default=None)
             if base is None:
                 # one id for every start: a read-only view of a single zero
-                ids = np.broadcast_to(np.int64(0), (self.n + 1,))
+                ids = np.ndarray((self.n + 1,), dtype=np.int64, buffer=_ZERO, strides=(0,))
                 cnt = np.array([self.n + 1], dtype=np.int64)
                 self._gids[0], self._gcounts[0] = ids, cnt
                 base = 0
@@ -588,16 +594,15 @@ class FrequencyIndex:
             n, D = self.n, self.seq.alphabet.size
             sa = _suffix_array(self._x, D)
             lcp = _lcp_array(self._x, D, sa)
-            L = self._maxrep = int(lcp.max()) if n > 1 else 0
+            L = int(lcp.max()) if n > 1 else 0
             # the suffix of length v <= L is the first of its v-interval when the
             # final v-gram repeats
             self._tail = np.empty(L + 1, dtype=_narrow(n))
-            for at in _slices(n):
-                r = (sa[at] >= n - L).nonzero()[0]
-                r += at.start
-                self._tail[n - sa[r]] = r
-            del sa
+            r = (sa >= n - L).nonzero()[0]
+            self._tail[n - sa[r]] = r
+            del sa, r
             self._lcp = lcp.astype(_narrow(n))
+            self._maxrep = L
         return self._maxrep
 
     def ppm_code_lengths(self) -> np.ndarray:
@@ -615,7 +620,13 @@ class FrequencyIndex:
         their size.
         """
         if self._ppm is None:
-            self._ppm = self._ppm_pass() if self.n >= 2 else np.empty(0)
+            try:
+                self._ppm = self._ppm_pass() if self.n >= 2 else np.empty(0)
+            except BaseException:
+                # the pass takes the LCP table and the tails from the index, so
+                # a retry builds them again
+                self._maxrep = self._lcp = self._tail = None
+                raise
             self._ppm.flags.writeable = False  # shared by every caller
         return self._ppm
 
@@ -667,11 +678,9 @@ class FrequencyIndex:
         # ids absent from the window count 0 and are never gathered
         log_k = np.log2(np.maximum(np.bincount(ids_k), 1))
         log_k1 = np.log2(np.maximum(np.bincount(ids_k1), 1))
-        # one gather subtracted from the other in place, then the same pairwise
-        # sum as terms.sum() without its Python-level wrapper
         terms = log_k[ids_k]
         terms -= log_k1[ids_k1]
-        return float(np.add.reduce(terms)) / m
+        return float(terms.sum()) / m
 
     def cond_entropy(self, k: int) -> float:
         """Empirical conditional entropy h_k(x_1^n) in bits, for 0 <= k < n.

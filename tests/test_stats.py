@@ -315,6 +315,26 @@ def test_exact_ppm_holds_under_48_bytes_per_symbol(name, ids, D):
     assert peak < 48 * len(x), f"{name}: {peak / len(x):.1f} bytes per symbol"
 
 
+def test_ppm_pass_can_be_retried_after_it_fails(monkeypatch):
+    # the pass takes the LCP table from the index; a failure partway must let
+    # a second call build it again
+    ids = [0, 1, 2, 0, 1, 3] * 50
+    want = build_index(seq(ids, 4)).ppm_code_lengths()
+
+    def fail(*args):
+        raise MemoryError
+
+    idx = stats.FrequencyIndex(seq(ids, 4))
+    idx.max_repetition()
+    with monkeypatch.context() as m:
+        m.setattr(stats, "_ppm_table", fail)
+        with pytest.raises(MemoryError):
+            idx.ppm_code_lengths()
+    got = idx.ppm_code_lengths()
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert idx.max_repetition() == build_index(seq(ids, 4)).max_repetition()
+
+
 @given(_interval_ids())
 @example([0, 0])
 @example([0, 1])
