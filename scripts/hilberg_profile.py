@@ -26,6 +26,11 @@ def main() -> int:
     parser.add_argument("--source-seed", type=int, default=11)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    # hilberg_estimate fits at least 4 distinct block lengths, each at least 2
+    if args.log2_min < 1:
+        parser.error(f"--log2-min must be at least 1, got {args.log2_min}")
+    if args.log2_max - args.log2_min + 1 < 4:
+        parser.error(f"the grid 2^{args.log2_min}..2^{args.log2_max} needs at least 4 points")
 
     if args.sticky is not None:
         src = sticky_chain(args.sticky)

@@ -235,10 +235,11 @@ def make_markov(
 ) -> SourceModel:
     """Order-M Markov source over D symbols, from a table or a random seed.
 
-    Random generation draws Gamma(concentration) weights per row and mixes in
-    a uniform floor so every entry is at least MIN_PROB, which keeps the chain
-    ergodic and the entropy rate bounded away from zero. Non-finite tables and
-    reducible or periodic chains are rejected.
+    Random generation draws Gamma(concentration) weights per row (a row whose
+    draws all underflow to 0 puts its weight on one uniformly drawn symbol)
+    and mixes in a uniform floor so every entry is at least MIN_PROB, which
+    keeps the chain ergodic and the entropy rate bounded away from zero.
+    Non-finite tables and reducible or periodic chains are rejected.
     """
     if D < 2:
         raise SourceError("alphabet size must be >= 2")
@@ -256,8 +257,14 @@ def make_markov(
             raise SourceError(f"concentration must be finite and positive, got {concentration!r}")
         rng = np.random.default_rng(seed)
         raw = rng.gamma(concentration, size=(S, D))
-        with np.errstate(invalid="ignore"):  # rows that underflow to 0 become NaN
-            raw /= raw.sum(axis=1, keepdims=True)
+        total = raw.sum(axis=1, keepdims=True)
+        # a row whose every draw underflows to 0 takes the limit of normalised
+        # Gamma draws as the concentration falls: one symbol, drawn uniformly
+        empty = np.flatnonzero(total[:, 0] == 0.0)
+        if empty.size:
+            raw[empty, rng.integers(D, size=empty.size)] = 1.0
+            total[empty] = 1.0
+        raw /= total
         T = (1.0 - D * MIN_PROB) * raw + MIN_PROB
         T /= T.sum(axis=1, keepdims=True)
     if not np.isfinite(T).all():

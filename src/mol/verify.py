@@ -135,6 +135,30 @@ class Workspace:
             ]
         return self._exhaustive
 
+    def piece(self, x: Sequence, start: int, stop: int) -> Sequence | None:
+        """The universe's own string equal to x[start:stop] (0-based, half-open),
+        or None when the piece is longer than the universe or x has another
+        alphabet size. h_k and code lengths read only the ids and D, so the
+        member's cached values are the piece's."""
+        D = self.budget.alphabet_size
+        if stop - start > self.budget.exhaustive_max_n or x.alphabet.size != D:
+            return None
+        code = 0  # the piece's ids read in base D: its place in product order
+        for v in x.ids[start:stop].tolist():
+            code = code * D + v
+        return self.of_length(stop - start)[code]
+
+    def window_h(self, x: Sequence, k: int, start: int, stop: int) -> float:
+        """h_k(x[start:stop]): the universe member's own h_k where there is one.
+
+        A window's h_k is the same position sum, over the same counts in the
+        same order, as the piece's own index, so both paths agree bit for bit.
+        """
+        member = self.piece(x, start, stop)
+        if member is None:
+            return build_index(x).window_cond_entropy(k, start, stop)
+        return build_index(member).cond_entropy(k)
+
     def random(self) -> list[Sequence]:
         if self._random is None:
             b = self.budget
@@ -175,7 +199,7 @@ class Workspace:
                 idx = build_index(x)
                 for k in range(kmax + 1):
                     # window first: h_{k+1} refines length k + 2 and prunes length k
-                    h_tail = idx.window_cond_entropy(k, 1, len(x))
+                    h_tail = self.window_h(x, k, 1, len(x))
                     h_next = idx.cond_entropy(k + 1)
                     self._drop.append((x, k, idx.cond_entropy(k), h_next, h_tail))
         return self._drop
@@ -275,17 +299,16 @@ def suite_h_prefix_drop(ws: Workspace):
         yield ok, lambda: f"prefix drop k={k} x={_label(x)}: {v!r}"
 
 
-def _superadditivity_value(x: Sequence, nn: int, k: int) -> float:
+def _superadditivity_value(ws: Workspace, x: Sequence, nn: int, k: int) -> float:
     # The three parts partition the (context, symbol) pairs of x_1^m: pairs
     # ending at positions k+1..n, n+1..n+k (the window x_{n+1-k}^{n+k}), and
     # n+k+1..m, so the deficit is a conditional mutual information.
     m = len(x)
-    idx = build_index(x)
-    v = idx.cond_entropy(k)
-    v -= (nn - k) / (m - k) * idx.window_cond_entropy(k, 0, nn)
+    v = build_index(x).cond_entropy(k)
+    v -= (nn - k) / (m - k) * ws.window_h(x, k, 0, nn)
     if k > 0:
-        v -= k / (m - k) * idx.window_cond_entropy(k, nn - k, nn + k)
-    v -= (m - nn - k) / (m - k) * idx.window_cond_entropy(k, nn, m)
+        v -= k / (m - k) * ws.window_h(x, k, nn - k, nn + k)
+    v -= (m - nn - k) / (m - k) * ws.window_h(x, k, nn, m)
     return v
 
 
@@ -295,7 +318,7 @@ def suite_h_superadditivity(ws: Workspace):
     most log2 min(3, D)."""
 
     def check(x: Sequence, nn: int, k: int):
-        v = _superadditivity_value(x, nn, k)
+        v = _superadditivity_value(ws, x, nn, k)
         ok = -EPS <= v <= math.log2(min(3, x.alphabet.size)) + EPS
         yield ok, lambda: f"superadditivity x={_label(x)} n={nn} k={k}: {v!r}"
 
@@ -343,12 +366,11 @@ def suite_h_series_bound(ws: Workspace):
     def check(x: Sequence, splits):
         # l runs upward once over all splits: gram ids of lengths above
         # FrequencyIndex._KEEP_LEN are dropped as the refinement moves on
-        idx = build_index(x)
         terms = {nn: [] for nn, _ in splits}
         for l in range(max(lmax for _, lmax in splits) + 1):
             for nn, lmax in splits:
                 if l <= lmax:
-                    terms[nn].append(idx.window_cond_entropy(l, 0, nn + l))
+                    terms[nn].append(ws.window_h(x, l, 0, nn + l))
         for nn, _ in splits:
             total = math.fsum(terms[nn])
             ok = total <= math.log2(nn) + EPS
@@ -455,13 +477,17 @@ def suite_mi_vocab_bound(ws: Workspace):
     """Split MI under the PPM semi-distribution respects the vocabulary bound
     whenever the order precondition holds."""
 
+    def part(x: Sequence, start: int, stop: int) -> Sequence:
+        member = ws.piece(x, start, stop)
+        return x.slice(start + 1, stop) if member is None else member
+
     def check(x: Sequence, splits):
         for nn in splits:
             try:
                 rhs = mi_bound_rhs(x, nn, ws.ppm)
             except SplitPreconditionError:
                 continue
-            I = ws.H("ppm", x.slice(1, nn)) + ws.H("ppm", x.slice(nn + 1, len(x))) - ws.H("ppm", x)
+            I = ws.H("ppm", part(x, 0, nn)) + ws.H("ppm", part(x, nn, len(x))) - ws.H("ppm", x)
             ok = I <= rhs + EPS
             yield ok, lambda: f"MI bound split={nn} x={_label(x)}: I={I!r} > rhs={rhs!r}"
 
@@ -500,9 +526,10 @@ def suite_ppm_identities(ws: Workspace):
 
 
 def run_suites(names=None, budget: VerifyBudget | None = None) -> list[SuiteResult]:
-    """Run the named suites (all by default) over one shared workspace."""
+    """Run the named suites (all by default, each named one once, in first-seen
+    order) over one shared workspace."""
     budget = budget or VerifyBudget()
-    names = list(names) if names else list(SUITES)
+    names = list(dict.fromkeys(names)) if names else list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(unknown)}")

@@ -293,6 +293,16 @@ def test_verify_single_suite(capsys):
     assert lines[0].startswith("kraft") and lines[0].endswith("PASS")
 
 
+def test_verify_runs_each_named_suite_once_in_first_seen_order(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "kraft", "--suite", "ppm-identities", "--suite", "kraft",
+        "--kraft-nmax", "3", "--nmax", "3", "--cases", "0",
+    )
+    assert code == 0
+    rows = [line.split()[0] for line in out.splitlines()]
+    assert rows == ["kraft", "ppm-identities"]
+
+
 def test_verify_negative_control():
     class Broken(CodeLengthFunction):
         name = "broken"

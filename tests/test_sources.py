@@ -83,7 +83,7 @@ def test_invalid_rows_rejected():
         make_markov(2, 1, transition=[[float("nan"), float("nan")], [0.5, 0.5]])
     with pytest.raises(SourceError):
         make_iid([float("nan"), float("nan")])
-    for concentration in (0.0, -1.0, float("nan"), float("inf"), 1e-300):
+    for concentration in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(SourceError):
             make_markov(2, 1, seed=1, concentration=concentration)
 
@@ -96,6 +96,16 @@ def test_random_generation_is_floored_and_deterministic():
     assert np.abs(a.transition.sum(axis=1) - 1.0).max() <= 1e-12
     with pytest.raises(SourceError):
         make_markov(2, 1)  # random generation needs a seed
+
+
+def test_rows_whose_gamma_draws_all_underflow_take_one_symbol():
+    # at seed 1 and 1e-3 every draw of a row underflows to 0; 1e-300 underflows them all
+    for seed, concentration in [(s, 1e-3) for s in range(5)] + [(1, 1e-300)]:
+        T = make_markov(2, 1, seed=seed, concentration=concentration).transition
+        assert np.abs(T.sum(axis=1) - 1.0).max() <= 1e-12
+        assert T.min() >= 1e-3
+    one_hot = make_markov(3, 2, seed=1, concentration=1e-300).transition
+    assert sorted(np.unique(one_hot.round(12))) == [0.001, 0.998]
 
 
 def test_state_guard():

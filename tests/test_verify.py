@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
+
 import mol.verify
-from mol import build_index
+from mol import Sequence, build_index, uniform_alphabet
 from mol.codes import kraft_sum
+from mol.stats import FrequencyIndex
 from mol.verify import VerifyBudget, Workspace, _label, _superadditivity_value, run_suites, suite_kraft
 
 from oracles import all_strings
@@ -67,7 +70,9 @@ def test_failing_cases_format_their_own_values(monkeypatch):
 
 
 def test_superadditivity_value_matches_slice_indexes():
-    # the four-part formula on freshly built slice indexes, x_j^k 1-based
+    # the four-part formula on freshly built slice indexes, x_j^k 1-based;
+    # the value reads pieces of length <= 7 from SMALL's universe
+    ws = Workspace(SMALL)
     for m in range(2, 9):
         for x in all_strings(2, m):
             for nn in range(1, m):
@@ -79,4 +84,47 @@ def test_superadditivity_value_matches_slice_indexes():
                         want -= k / (m - k) * mid.cond_entropy(k)
                     right = build_index(x.slice(nn + 1, m))
                     want -= (m - nn - k) / (m - k) * right.cond_entropy(k)
-                    assert _superadditivity_value(x, nn, k) == want
+                    assert _superadditivity_value(ws, x, nn, k) == want
+
+
+UNIVERSE_ONLY = VerifyBudget(exhaustive_max_n=7, random_cases=0)
+
+
+def test_every_piece_of_a_universe_string_is_a_universe_string():
+    ws = Workspace(UNIVERSE_ONLY)
+    for x in ws.exhaustive():
+        n = len(x)
+        for start in range(n):
+            for stop in range(start + 1, n + 1):
+                code = int("".join(map(str, x.ids[start:stop].tolist())), 2)
+                member = ws.piece(x, start, stop)
+                assert member is ws.of_length(stop - start)[code]
+                for k in range(stop - start):
+                    got = build_index(member).cond_entropy(k)
+                    want = build_index(x).window_cond_entropy(k, start, stop)
+                    assert got.hex() == want.hex()
+
+
+def test_pieces_outside_the_universe_resolve_to_none():
+    ws = Workspace(UNIVERSE_ONLY)
+    x = Sequence(np.array([0, 1, 1, 0, 1, 0, 0, 1, 1], dtype=np.int64), uniform_alphabet(2))
+    assert ws.piece(x, 0, 8) is None and ws.piece(x, 0, 9) is None
+    assert ws.piece(x, 1, 8) is ws.of_length(7)[0b1101001]
+    ternary = Sequence(np.array([0, 1, 2, 0], dtype=np.int64), uniform_alphabet(3))
+    assert ws.piece(ternary, 0, 2) is None
+    assert ws.piece(ternary, 3, 4) is None
+
+
+def test_h_suites_query_no_proper_window_on_the_universe(monkeypatch):
+    windows = []
+    query = FrequencyIndex.window_cond_entropy
+
+    def spy(self, k, start, stop):
+        windows.append((start, stop, self.n))
+        return query(self, k, start, stop)
+
+    monkeypatch.setattr(FrequencyIndex, "window_cond_entropy", spy)
+    results = run_suites(["h-step-drop", "h-superadditivity", "h-series-bound"], UNIVERSE_ONLY)
+    assert all(r.passed and r.cases for r in results)
+    assert windows
+    assert [w for w in windows if w[:2] != (0, w[2])] == []
