@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -312,6 +313,9 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(
             f"--backends must name some of {', '.join(BACKENDS)}, got {args.backends!r}"
         )
+    # the value enters config and config_hash whichever estimators run
+    if args.mgz is not None and not 0 < args.mgz < math.inf:
+        raise ConfigError(f"--mgz must be finite and positive, got {args.mgz!r}")
     config = ExperimentConfig(
         lengths=lengths,
         trials=args.trials,

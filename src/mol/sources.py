@@ -18,6 +18,8 @@ from .sequence import Sequence, uniform_alphabet
 STATE_GUARD = 1 << 20
 RNG_ALGORITHM = "numpy-pcg64"
 MIN_PROB = 1e-3  # floor of every randomly generated transition probability
+# a numpy step over the blocks costs about this many scalar steps
+LANES = 32
 
 
 class SourceError(ValueError):
@@ -45,6 +47,110 @@ def _search(edges: list[list[int]]) -> tuple[list[int], int]:
             else:
                 g = math.gcd(g, level[u] + 1 - level[v])
     return level, abs(g)
+
+
+def _replay(ctx: int, rows: list, lead: list, draws: list, path: list = ()) -> list:
+    """Contexts entered by scalar steps from ctx, one per draw, stopping
+    before the first one equal to path's context at the same offset. Symbol
+    a = bisect_right(rows[c], u) moves context c to lead[c] + a."""
+    out = []
+    put = out.append
+    if not path:
+        for u in draws:
+            ctx = lead[ctx] + bisect_right(rows[ctx], u)
+            put(ctx)
+        return out
+    for u, known in zip(draws, path):
+        ctx = lead[ctx] + bisect_right(rows[ctx], u)
+        if ctx == known:
+            break
+        put(ctx)
+    return out
+
+
+def _chain_symbols(cum: np.ndarray, D: int, ctx: int, stationary: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Symbols of the context chain run from ctx over the draws u.
+
+    Each step moves context c on draw u to (c·D + a) % S with
+    a = bisect_right(cum[c], u). After a head of len(u) % B draws, the rest
+    is cut into blocks of B ~ sqrt(n) draws that step in lockstep, one numpy
+    step per offset: the first block from its true start, every other from
+    the stationary mode. A second lockstep pass restarts each block from the
+    end of the one before, until it meets its first path. A walk over the
+    blocks in order then replays a block whose true start differs from its
+    guess only until its context meets the stored one at the same offset,
+    which fixes the rest of the block. Every draw meets the comparisons a
+    per-symbol loop makes, so the symbols are identical to it.
+    """
+    n = u.size
+    S = cum.shape[0]
+    rows = cum.tolist()
+    lead = np.arange(S) * D % S  # (c·D + a) % S == lead[c] + a
+    leads = lead.tolist()
+    # one lockstep step costs about lanes_min scalar steps: LANES where one
+    # column decides the symbol, twice that for a row gather and argmax
+    lanes_min = LANES if D == 2 else 2 * LANES
+    B = math.isqrt(n)
+    # with fewer than 2·lanes_min blocks the whole string is the head
+    nb = n // B if B >= 2 * lanes_min else 0
+    h = n - nb * B
+    head = _replay(ctx, rows, leads, u[:h].tolist())
+    ids = np.empty(n, dtype=np.int64)
+    ids[:h] = head
+    ids[:h] %= D
+    if not nb:
+        return ids
+    if head:
+        ctx = head[-1]
+    if D == 2:
+        low = np.ascontiguousarray(cum[:, 0])
+
+        def step(c, x):
+            return lead.take(c) + (low.take(c) <= x)
+    else:
+
+        def step(c, x):
+            return lead.take(c) + (cum.take(c, axis=0) > x[:, None]).argmax(axis=1)
+
+    guess = int(np.argmax(stationary))
+    blocks = u[h:].reshape(nb, B)
+    states = np.empty((nb, B), dtype=np.int32)
+    c = np.full(nb, guess)
+    c[0] = ctx
+    for t in range(B):
+        c = step(c, blocks[:, t])
+        states[:, t] = c
+    ends = states[:, -1].tolist()
+    # Second pass: each lane restarts from the end of the block before it and
+    # runs until it meets its first path. A lane still apart once fewer than
+    # lanes_min remain, or after B/8 steps, keeps its first path and guess.
+    starts = np.array([guess] + ends[:-1])
+    lanes = np.flatnonzero(starts != guess)
+    c = starts[lanes]
+    moved = []
+    t = 0
+    while lanes.size >= lanes_min and t < B // 8:
+        c = step(c, blocks[lanes, t])
+        moved.append((lanes, c, t))
+        apart = c != states[lanes, t]
+        lanes, c = lanes[apart], c[apart]
+        t += 1
+    kept = np.zeros(nb, dtype=bool)
+    kept[lanes] = True
+    for moved_lanes, moved_c, t in moved:
+        take = ~kept[moved_lanes]
+        states[moved_lanes[take], t] = moved_c[take]
+    starts[lanes] = guess
+    guesses = starts.tolist()
+    for b in range(1, nb):
+        ctx = ends[b - 1]
+        if ctx != guesses[b]:
+            fix = _replay(ctx, rows, leads, blocks[b].tolist(), states[b].tolist())
+            states[b, : len(fix)] = fix
+            if len(fix) == B:
+                ends[b] = fix[-1]
+    np.remainder(states, D, out=ids[h:].reshape(nb, B))
+    return ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,18 +194,10 @@ class SourceModel:
         if self.order == 0:
             out = rng.choice(D, size=n, p=self.transition[0])
             return Sequence(out.astype(np.int64), alpha)
-        S = self.states
-        ctx = int(rng.choice(S, p=self.stationary))
+        ctx = int(rng.choice(self.states, p=self.stationary))
         cum = np.cumsum(self.transition, axis=1)
         cum[:, -1] = 1.0
-        rows = cum.tolist()
-        out = []
-        put = out.append
-        for u in rng.random(n).tolist():
-            a = bisect_right(rows[ctx], u)
-            put(a)
-            ctx = (ctx * D + a) % S
-        return Sequence(np.array(out, dtype=np.int64), alpha)
+        return Sequence(_chain_symbols(cum, D, ctx, self.stationary, rng.random(n)), alpha)
 
     # -- exact oracles -----------------------------------------------------
 
@@ -134,35 +232,6 @@ class SourceModel:
     def entropy_rate(self) -> float:
         """h^P = inf_k h_k^P, attained at the source order."""
         return self.cond_entropy(self.order)
-
-    def renyi_block_entropy(self, n: int) -> float:
-        """Collision entropy of blocks, R_n = -log2 sum_x P(x_1^n)^2.
-
-        Computed by a transfer recursion over squared transition weights with
-        per-step rescaling, so long blocks do not underflow.
-        """
-        if n < 1:
-            raise ValueError("block length must be >= 1")
-        D = self.alphabet_size
-        if self.order == 0:
-            q = float((self.transition[0] ** 2).sum())
-            return -n * math.log2(q)
-        if n <= self.order:
-            w = self.block_marginal(n)
-            return -math.log2(float((w**2).sum()))
-        S = self.states
-        if n * S * D > (1 << 28):
-            raise BudgetError("transfer recursion budget exceeded")
-        t2 = self.transition**2
-        nxt = ((np.arange(S)[:, None] * D + np.arange(D)[None, :]) % S).ravel()
-        v = self.stationary**2
-        acc = 0.0
-        for _ in range(n - self.order):
-            v = np.bincount(nxt, weights=(v[:, None] * t2).ravel(), minlength=S)
-            scale = float(v.sum())
-            v /= scale
-            acc += math.log2(scale)
-        return -acc
 
 
 def _validate_rows(T: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ plain dictionaries, independent of the indexed fast paths in the package.
 
 import math
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from itertools import chain, product
 
@@ -222,30 +223,25 @@ def ingest_bytes_oracle(data: bytes):
     return ids, tokens
 
 
-def block_prob_oracle(src, ids) -> float:
-    """P(x_1^n) for a SourceModel, by marginal initial law plus transitions."""
-    ids = list(ids)
-    n = len(ids)
-    M = src.order
-    D = src.alphabet_size
+def sample_oracle(src, n: int, seed) -> np.ndarray:
+    """Symbol ids of src.sample(n, seed), by the per-symbol loop: hidden
+    initial context from the stationary law, then one bisect per symbol."""
+    rng = np.random.default_rng(seed)
     if n == 0:
-        return 1.0
-    if M == 0:
-        p = src.transition[0]
-        out = 1.0
-        for a in ids:
-            out *= p[a]
-        return out
-    head = ids[: min(n, M)]
-    w = src.block_marginal(len(head))
-    code = 0
-    for a in head:
-        code = code * D + a
-    out = float(w[code])
-    ctx = 0
-    for a in ids[:M]:
-        ctx = ctx * D + a
-    for a in ids[M:]:
-        out *= float(src.transition[ctx, a])
-        ctx = (ctx * D + a) % (D**M)
-    return out
+        return np.empty(0, dtype=np.int64)
+    D = src.alphabet_size
+    if src.order == 0:
+        out = rng.choice(D, size=n, p=src.transition[0])
+        return out.astype(np.int64)
+    S = src.states
+    ctx = int(rng.choice(S, p=src.stationary))
+    cum = np.cumsum(src.transition, axis=1)
+    cum[:, -1] = 1.0
+    rows = cum.tolist()
+    out = []
+    put = out.append
+    for u in rng.random(n).tolist():
+        a = bisect_right(rows[ctx], u)
+        put(a)
+        ctx = (ctx * D + a) % S
+    return np.array(out, dtype=np.int64)

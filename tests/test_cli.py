@@ -263,6 +263,21 @@ def test_simulate_unknown_names_fail_before_any_trial(capsys, monkeypatch, flag,
     assert flag in err and repr(value) in err
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("estimators", ["universal", "mgz"])
+def test_simulate_bad_mgz_fails_before_any_trial(capsys, monkeypatch, value, estimators):
+    # also when mgz does not run: the value would enter config and config_hash
+    monkeypatch.setattr(mol.cli, "consistency_experiment", lambda *a: pytest.fail("trial ran"))
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "10", "--trials", "1", "--estimators", estimators,
+        f"--mgz={value}",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("mol: invalid config:") and "--mgz" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--backend", "lz78", "--mgz", "nan"],
     ["simulate", "--order", "1", "--concentration", "0", "--n", "50", "--trials", "1"],

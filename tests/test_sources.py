@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mol import (
     BudgetError,
@@ -15,8 +17,9 @@ from mol import (
     make_markov,
     sticky_chain,
 )
+from mol.sources import LANES
 
-from oracles import block_prob_oracle
+from oracles import sample_oracle
 
 
 def binary_entropy(p: float) -> float:
@@ -135,6 +138,61 @@ def test_sample_ids_are_pinned():
     ]
 
 
+def _block_edge_lengths() -> list:
+    """1, 2 and 5000, plus lengths at the edges of the block layout for both
+    lockstep step forms (binary, and larger alphabets with twice the lanes):
+    the last all-head length, heads of 0, 1 and B - 1 draws, the first
+    length with B + 1 blocks and the last one before B grows."""
+    lengths = {1, 2, 5000}
+    for m in (2 * LANES, 4 * LANES):
+        lengths |= {m * m - 1, m * m, m * m + 1, m * (m + 1) - 1, m * (m + 1), (m + 1) ** 2 - 1}
+    return sorted(lengths)
+
+
+BLOCK_EDGE_LENGTHS = _block_edge_lengths()
+
+
+@given(
+    D=st.sampled_from([2, 3, 4, 8]),
+    order=st.integers(1, 3),
+    concentration=st.sampled_from([1e-3, 0.05, 1.0, 100.0]),
+    chain_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+    n=st.sampled_from(BLOCK_EDGE_LENGTHS),
+)
+def test_sample_matches_per_symbol_loop(D, order, concentration, chain_seed, seed, n):
+    src = make_markov(D, order, seed=chain_seed, concentration=concentration)
+    assert np.array_equal(src.sample(n, seed=seed).ids, sample_oracle(src, n, seed))
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_LENGTHS)
+def test_sample_matches_per_symbol_loop_where_replays_never_meet(n):
+    # two paths of this chain from different contexts stay apart for ~500 steps
+    src = sticky_chain(0.001)
+    for seed in range(3):
+        assert np.array_equal(src.sample(n, seed=seed).ids, sample_oracle(src, n, seed))
+
+
+def test_sample_matches_per_symbol_loop_at_a_million_symbols():
+    for src in (sticky_chain(0.9), make_markov(2, 2, seed=11), make_markov(8, 1, seed=8)):
+        assert np.array_equal(src.sample(10**6, seed=5).ids, sample_oracle(src, 10**6, 5))
+
+
+def test_sample_peak_memory_under_32_bytes_per_symbol():
+    # draws, int32 block contexts and the int64 ids; no list of the draws and
+    # no table of n times the context count
+    src = sticky_chain(0.9)
+    n = 10**5
+    src.sample(n, seed=1)
+    tracemalloc.start()
+    try:
+        src.sample(n, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * n
+
+
 def test_sample_fair_coin_frequency():
     x = fair_coin().sample(100000, seed=7)
     freq = float(np.mean(x.ids))
@@ -165,41 +223,6 @@ def test_cond_entropy_monotone_and_flat_beyond_order():
     assert hs[2] == pytest.approx(hs[3], abs=1e-12)
     assert hs[2] == pytest.approx(hs[4], abs=1e-12)
     assert src.entropy_rate() == pytest.approx(hs[2], abs=1e-12)
-
-
-def test_renyi_fair_coin_closed_form():
-    src = fair_coin()
-    for n in (1, 5, 300):
-        assert src.renyi_block_entropy(n) == pytest.approx(float(n), abs=1e-9)
-
-
-def test_renyi_biased_coin_value():
-    src = make_iid([0.25, 0.75])
-    assert src.renyi_block_entropy(1) == pytest.approx(-math.log2(10 / 16), abs=1e-12)
-    assert src.renyi_block_entropy(1) == pytest.approx(0.678, abs=1e-3)
-
-
-def test_renyi_matches_enumeration():
-    from itertools import product
-
-    for src in (
-        make_iid([0.25, 0.75]),
-        sticky_chain(0.8),
-        make_markov(2, 2, seed=11, concentration=1.0),
-    ):
-        for n in (1, 2, 3, 6, 8):
-            brute = -math.log2(
-                math.fsum(
-                    block_prob_oracle(src, ids) ** 2
-                    for ids in product(range(2), repeat=n)
-                )
-            )
-            assert src.renyi_block_entropy(n) == pytest.approx(brute, abs=1e-10)
-
-
-def test_renyi_validation():
-    with pytest.raises(ValueError):
-        fair_coin().renyi_block_entropy(0)
 
 
 # -- consistency experiment ---------------------------------------------------------
