@@ -48,6 +48,11 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _digest(data: bytes) -> str:
+    """The digest of an input's bytes, which the config hash covers with its path."""
+    return hashlib.sha256(data).hexdigest()
+
+
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
@@ -119,7 +124,8 @@ def _ingest_mode(args):
     return "explicit", alphabet
 
 
-def _estimate_file(task: dict) -> dict:
+def _estimate_file(task: dict) -> tuple[dict, str]:
+    """The result for one input file, and the digest of its bytes."""
     data = Path(task["path"]).read_bytes()
     x = ingest(data, mode=task["mode"], alphabet=task["alphabet"])
     code = make_code(task["backend"], ppm_exact=task["ppm_exact"])
@@ -142,7 +148,7 @@ def _estimate_file(task: dict) -> dict:
             "statistic": res.statistic,
             "reject": res.reject,
         }
-    return result
+    return result, _digest(data)
 
 
 def _cmd_estimate(args) -> int:
@@ -161,7 +167,6 @@ def _cmd_estimate(args) -> int:
         "files": args.files,
         "seed": seed,
     }
-    meta = _meta("estimate", seed, args.backend, config)
     tasks = [
         {
             "path": path,
@@ -177,9 +182,12 @@ def _cmd_estimate(args) -> int:
     ]
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_estimate_file, tasks))
+            done = list(pool.map(_estimate_file, tasks))
     else:
-        results = [_estimate_file(t) for t in tasks]
+        done = [_estimate_file(t) for t in tasks]
+    results = [result for result, _ in done]
+    config["digests"] = [digest for _, digest in done]
+    meta = _meta("estimate", seed, args.backend, config)
 
     if args.format == "json":
         _emit(_dump_json({"meta": meta, "results": results}), args.out)
@@ -232,6 +240,7 @@ def _cmd_profile(args) -> int:
         "kmax": args.kmax,
         "blocks": blocks,
         "file": args.file,
+        "digest": _digest(data),
         "seed": seed,
     }
     meta = _meta("profile", seed, "ppm", config)

@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from .sequence import Sequence, uniform_alphabet
-from .stats import build_index, count_in_prefix
+from .stats import build_index
 
 LOG2E = 1.0 / math.log(2.0)
 LOG2_PI2_OVER_6 = math.log2(math.pi**2 / 6.0)
@@ -51,6 +51,20 @@ def _zeta2_tail(m: int) -> float:
     bernoulli = y * (1 / 6 - y * (1 / 30 - y * (1 / 42 - y * (1 / 30 - y * 5 / 66))))
     series = (1.0 + 0.5 / x + bernoulli) / x
     return math.fsum([1.0 / (j * j) for j in range(m + 1, x)] + [series])
+
+
+def count_in_prefix(xs: np.ndarray, w: np.ndarray, m: int) -> int:
+    """Overlapping occurrences N(w | x_1^m) of w in xs[:m]; the empty word counts m+1 times."""
+    k = int(w.size)
+    if k == 0:
+        return m + 1
+    if k > m:
+        return 0
+    lim = m - k + 1
+    hits = np.ones(lim, dtype=bool)
+    for t in range(k):
+        hits &= xs[t : t + lim] == w[t]
+    return int(hits.sum())
 
 
 def ppm_cond(x: Sequence, i: int, k: int) -> float:

@@ -16,7 +16,7 @@ from .sequence import Sequence
 
 _CHUNK = 1 << 12  # the shortest slice of a long elementwise pass
 
-_ZERO = np.zeros(1, dtype=np.int64)  # the gram id of the empty word, shared read-only
+_ZERO = np.zeros(1, dtype=np.int32)  # the gram id of the empty word, shared read-only
 _ZERO.flags.writeable = False
 
 
@@ -453,20 +453,6 @@ def _ppm_table(n: int, D: int, L: int, intervals: list, s: np.ndarray) -> np.nda
     return np.concatenate(out)
 
 
-def count_in_prefix(xs: np.ndarray, w: np.ndarray, m: int) -> int:
-    """Overlapping occurrences N(w | x_1^m) of w in xs[:m]; the empty word counts m+1 times."""
-    k = int(w.size)
-    if k == 0:
-        return m + 1
-    if k > m:
-        return 0
-    lim = m - k + 1
-    hits = np.ones(lim, dtype=bool)
-    for t in range(k):
-        hits &= xs[t : t + lim] == w[t]
-    return int(hits.sum())
-
-
 @dataclass
 class EntropyProfile:
     """Empirical conditional entropies h_k for k = 0..kmax of one string.
@@ -528,7 +514,8 @@ class FrequencyIndex:
     _KEEP_LEN = 4
 
     def gram_ids(self, k: int) -> np.ndarray:
-        """Dense group ids of the k-grams at starts 0..n-k (equal grams share an id)."""
+        """Dense group ids of the k-grams at starts 0..n-k (equal grams share an
+        id), as _narrow(n + 1): int32 below 2^31 symbols."""
         if not 0 <= k <= self.n:
             raise ValueError(f"gram length {k} out of range for n={self.n}")
         got = self._gids.get(k)
@@ -536,8 +523,8 @@ class FrequencyIndex:
             base = max((j for j in self._gids if j < k), default=None)
             if base is None:
                 # one id for every start: a read-only view of a single zero
-                ids = np.ndarray((self.n + 1,), dtype=np.int64, buffer=_ZERO, strides=(0,))
-                cnt = np.array([self.n + 1], dtype=np.int64)
+                ids = np.ndarray((self.n + 1,), dtype=np.int32, buffer=_ZERO, strides=(0,))
+                cnt = np.array([self.n + 1], dtype=_narrow(self.n + 1))
                 self._gids[0], self._gcounts[0] = ids, cnt
                 base = 0
             for length in range(base + 1, k + 1):
@@ -548,16 +535,23 @@ class FrequencyIndex:
         return got
 
     def _prune(self, current: int) -> None:
+        if current <= self._KEEP_LEN:
+            return  # a longer length is resident only once these all are
         keep = {current, current - 1}
         for store in (self._gids, self._gcounts):
             for length in [j for j in store if j > self._KEEP_LEN and j not in keep]:
                 del store[length]
 
     def _refine(self, prev: np.ndarray, length: int):
+        """Ids and counts of the grams of this length, held as _narrow(n + 1);
+        the key (id of the shorter gram, next symbol) is ranked in 64 bits."""
         m = self.n - length + 1
         D = self.seq.alphabet.size
-        key = prev[:m] * D + self._x[length - 1 : length - 1 + m]
-        return key, _dense_rank(key, self._gcounts[length - 1].size * D)[0]
+        key = np.multiply(prev[:m], D, dtype=np.int64)
+        key += self._x[length - 1 : length - 1 + m]
+        counts = _dense_rank(key, self._gcounts[length - 1].size * D)[0]
+        narrow = _narrow(self.n + 1)
+        return key.astype(narrow), counts.astype(narrow)
 
     def gram_counts(self, k: int) -> np.ndarray:
         """Occurrence count N(w | x_1^n) per group id, for length-k grams."""
@@ -565,18 +559,6 @@ class FrequencyIndex:
         return self._gcounts[k]
 
     # -- query surface -----------------------------------------------------
-
-    def count(self, w, m: int | None = None) -> int:
-        """Occurrences N(w | x_1^m) of w inside the length-m prefix, m in {n-1, n}.
-
-        Counts overlap; the empty word counts m+1 times.
-        """
-        n = self.n
-        m = n if m is None else m
-        if m not in (n, n - 1) or m < 0:
-            raise ValueError(f"prefix length must be n or n-1, got {m}")
-        ids = w.ids if isinstance(w, Sequence) else np.asarray(w, dtype=np.int64)
-        return count_in_prefix(self._x, ids, m)
 
     def vocab_size(self, k: int) -> int:
         """Number of distinct length-k substrings; 1 for k=0, 0 for k > n."""
@@ -673,13 +655,23 @@ class FrequencyIndex:
             if k > self.max_repetition():
                 return 0.0
         m = stop - start - k
-        ids_k = self.gram_ids(k)[start : start + m]
+        gids_k = self.gram_ids(k)
+        ids_k = gids_k[start : start + m]
         ids_k1 = self.gram_ids(k + 1)[start : start + m]
+        if m == self.n - k:
+            # the whole string: every (k+1)-gram, and every k-gram but the last
+            cnt_k, cnt_k1 = self._gcounts[k].copy(), self._gcounts[k + 1]
+            cnt_k[gids_k[m]] -= 1
+        else:
+            cnt_k, cnt_k1 = np.bincount(ids_k), np.bincount(ids_k1)
         # ids absent from the window count 0 and are never gathered
-        log_k = np.log2(np.maximum(np.bincount(ids_k), 1))
-        log_k1 = np.log2(np.maximum(np.bincount(ids_k1), 1))
-        terms = log_k[ids_k]
-        terms -= log_k1[ids_k1]
+        log_k = np.log2(np.maximum(cnt_k, 1))
+        log_k1 = np.log2(np.maximum(cnt_k1, 1))
+        terms = np.empty(m)
+        for at in _slices(m):
+            t = terms[at]
+            log_k.take(ids_k[at], out=t, mode="clip")  # "raise" would buffer t
+            t -= log_k1.take(ids_k1[at])
         return float(terms.sum()) / m
 
     def cond_entropy(self, k: int) -> float:

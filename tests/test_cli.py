@@ -155,6 +155,48 @@ def test_config_hash_covers_how_the_input_is_read(capsys, tmp_path, argv, first,
     assert meta[0]["config_hash"] != meta[1]["config_hash"]
 
 
+_TEXT = b"a b r a c a d a b r a " * 20
+_EDITED = b"a b r a c a d a b r x " * 20
+
+
+@pytest.mark.parametrize(
+    "argv, flags, data, stdout_changes, hash_changes",
+    [
+        pytest.param(["estimate"], ["--backend", "lz78"], _TEXT, True, True, id="estimate-backend"),
+        pytest.param(["estimate"], ["--kt"], _TEXT, True, True, id="estimate-kt"),
+        pytest.param(["estimate"], ["--mgz", "0.1"], _TEXT, True, True, id="estimate-mgz"),
+        pytest.param(["estimate"], ["--ram", "1:0.05"], _TEXT, True, True, id="estimate-ram"),
+        pytest.param(["estimate"], ["--mode", "tokens"], _TEXT, True, True, id="estimate-mode"),
+        # new bytes under the same path
+        pytest.param(["estimate"], [], _EDITED, True, True, id="estimate-bytes"),
+        pytest.param(["estimate"], ["--seed", "5"], _TEXT, False, True, id="estimate-seed"),
+        pytest.param(["estimate"], ["--jobs", "2"], _TEXT, False, False, id="estimate-jobs"),
+        pytest.param(["profile", "--kmax", "3"], ["--kmax", "5"], _TEXT, True, True, id="profile-kmax"),
+        pytest.param(["profile", "--kmax", "3"], ["--blocks", "4,8"], _TEXT, True, True, id="profile-blocks"),
+        pytest.param(["profile", "--kmax", "3"], ["--mode", "tokens"], _TEXT, True, True, id="profile-mode"),
+        pytest.param(["profile", "--kmax", "3"], [], _EDITED, True, True, id="profile-bytes"),
+        pytest.param(["profile", "--kmax", "3"], [], _TEXT, False, False, id="profile-same"),
+    ],
+)
+def test_config_hash_changes_whenever_stdout_does(
+    capsys, tmp_path, argv, flags, data, stdout_changes, hash_changes
+):
+    # one flag or the input's bytes change at a time; the output is compared
+    # without its metadata, whose seed and hash always follow the config.
+    # --format and --out only write the same results another way
+    path = tmp_path / "input.txt"
+    outputs = []
+    for extra, content in (([], _TEXT), (flags, data)):
+        path.write_bytes(content)
+        code, out, _ = run_cli(capsys, *argv, *extra, "--format", "json", str(path))
+        assert code == 0
+        outputs.append(json.loads(out))
+    hashes = [o.pop("meta")["config_hash"] for o in outputs]
+    assert (outputs[0] != outputs[1]) == stdout_changes
+    assert (hashes[0] != hashes[1]) == hash_changes
+    assert hash_changes or not stdout_changes
+
+
 def test_profile_rows(capsys, tmp_path):
     path = tmp_path / "p.bin"
     path.write_bytes(b"abracadabra" * 4)

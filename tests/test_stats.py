@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mol import build_index, ingest, stats, sticky_chain
-from mol.codes import ppm_log_measure_closed
+from mol.codes import count_in_prefix, ppm_log_measure_closed
 
 from oracles import (
     all_strings,
@@ -31,28 +31,22 @@ binary_ids = st.lists(st.integers(0, 1), min_size=2, max_size=200)
 
 
 def test_count_examples():
-    idx = build_index(ingest(b"abab"))
-    assert idx.count(ingest(b"ab")) == 2
-    assert idx.count(ingest(b"ab"), 3) == 1
-    assert idx.count(ingest(b""), 4) == 5  # N(lambda | x_1^n) = n + 1
-    assert build_index(ingest(b"aaa")).count(ingest(b"aa")) == 2  # overlaps count
-    assert build_index(ingest(b"")).count(seq([], 2)) == 1
-
-
-def test_count_rejects_other_prefixes():
-    idx = build_index(ingest(b"abab"))
-    with pytest.raises(ValueError):
-        idx.count(ingest(b"ab"), 2)
+    abab = ingest(b"abab").ids
+    assert count_in_prefix(abab, ingest(b"ab").ids, 4) == 2
+    assert count_in_prefix(abab, ingest(b"ab").ids, 3) == 1
+    assert count_in_prefix(abab, ingest(b"").ids, 4) == 5  # N(lambda | x_1^n) = n + 1
+    assert count_in_prefix(ingest(b"aaa").ids, ingest(b"aa").ids, 3) == 2  # overlaps count
+    assert count_in_prefix(ingest(b"").ids, seq([], 2).ids, 0) == 1
 
 
 @given(random_ids, st.lists(st.integers(0, 3), max_size=5))
 def test_count_matches_oracle_and_prefix_identity(ids, w):
-    idx = build_index(seq(ids, 4))
+    xs, word = seq(ids, 4).ids, seq(w, 4).ids
     n = len(ids)
-    full = idx.count(seq(w, 4))
-    assert full == count_oracle(ids, w, n)
-    prev = idx.count(seq(w, 4), n - 1)
-    assert prev == count_oracle(ids, w, n - 1)
+    for m in range(n + 1):
+        assert count_in_prefix(xs, word, m) == count_oracle(ids, w, m)
+    full = count_in_prefix(xs, word, n)
+    prev = count_in_prefix(xs, word, n - 1)
     suffix_match = len(w) <= n and ids[n - len(w) :] == w  # lambda matches too
     assert prev == full - (1 if suffix_match else 0)
 
@@ -89,11 +83,21 @@ def test_gram_ids_match_stacked_rows_in_both_rank_branches(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stats, "_rank_by_sort", lambda key, *a: sorted_lengths.append(key.size) or rank_by_sort(key, *a))
         idx = build_index(seq(ids, D))
-        for k in range(len(ids) + 1):
+        n = len(ids)
+        for k in range(n + 1):
             ref_ids, ref_counts = _stacked_gram_reference(ids, k)
             assert idx.gram_ids(k).tolist() == ref_ids
             assert idx.gram_counts(k).tolist() == ref_counts
-    assert len(sorted_lengths) == (len(ids) if wide else 0)
+            assert idx.gram_ids(k).dtype == idx.gram_counts(k).dtype == np.int32
+            if k < n:
+                # h_k as two bincounts over the same gram ids, to the last bit
+                m = n - k
+                ids_k, ids_k1 = idx.gram_ids(k)[:m], idx.gram_ids(k + 1)[:m]
+                log_k = np.log2(np.maximum(np.bincount(ids_k), 1))
+                log_k1 = np.log2(np.maximum(np.bincount(ids_k1), 1))
+                terms = log_k[ids_k] - log_k1[ids_k1]
+                assert idx.cond_entropy(k) == float(terms.sum()) / m
+    assert len(sorted_lengths) == (n if wide else 0)
 
 
 @st.composite
@@ -286,6 +290,22 @@ def test_maxrep_lower_bound(ids):
     assert L >= math.log2(n - math.log2(n)) - 1 - 1e-9
 
 
+def _traced_peak(call):
+    """call() and the peak bytes that tracemalloc traced during it, above what
+    was traced before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = call()
+        return got, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize(
     "name, ids, D",
     [
@@ -300,19 +320,27 @@ def test_exact_ppm_holds_under_48_bytes_per_symbol(name, ids, D):
     # as many levels as symbols
     x = seq(ids, D)
     idx = stats.FrequencyIndex(x)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        bits = idx.ppm_code_lengths()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    bits, peak = _traced_peak(idx.ppm_code_lengths)
     assert bits.size == min(idx.max_repetition(), len(x) - 2) + 1
     assert peak < 48 * len(x), f"{name}: {peak / len(x):.1f} bytes per symbol"
+
+
+@pytest.mark.parametrize(
+    "name, ids, D, bound",
+    [
+        # with int64 gram ids and counts: 64, 64 and 117 bytes per symbol
+        ("fair", np.random.default_rng(3).integers(0, 2, 10**5), 2, 40),
+        ("constant", np.zeros(10**5, dtype=np.int64), 2, 40),
+        ("bytes", np.random.default_rng(4).integers(0, 256, 10**5), 256, 100),
+    ],
+)
+def test_entropy_profile_holds_under_its_bytes_per_symbol(name, ids, D, bound):
+    # h_0..h_8 and |V_0|..|V_8| on a fresh index, above the int64 ids: the
+    # gram ids and counts of lengths 1-4 and the two latest lengths stay held
+    x = seq(ids, D)
+    profile, peak = _traced_peak(lambda: stats.FrequencyIndex(x).profile(8))
+    assert len(profile.h) == 9
+    assert peak < bound * len(x), f"{name}: {peak / len(x):.1f} bytes per symbol"
 
 
 def test_ppm_pass_can_be_retried_after_it_fails(monkeypatch):
