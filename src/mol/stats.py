@@ -29,8 +29,8 @@ def _slices(size: int):
 
 
 def _narrow(n: int):
-    """Integer type of the arrays that only hold values up to n: ranks, lcps and
-    counts, never gather indices."""
+    """Integer type of the arrays that only hold values up to n: ranks, lcps,
+    counts and gram ids."""
     return np.int32 if n < 2**31 else np.int64
 
 
@@ -536,7 +536,7 @@ class FrequencyIndex:
 
     def _prune(self, current: int) -> None:
         if current <= self._KEEP_LEN:
-            return  # a longer length is resident only once these all are
+            return  # nothing longer is resident before every kept length is
         keep = {current, current - 1}
         for store in (self._gids, self._gcounts):
             for length in [j for j in store if j > self._KEEP_LEN and j not in keep]:
