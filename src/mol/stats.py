@@ -18,6 +18,7 @@ _CHUNK = 1 << 12  # the shortest slice of a long elementwise pass
 
 _ZERO = np.zeros(1, dtype=np.int32)  # the gram id of the empty word, shared read-only
 _ZERO.flags.writeable = False
+_END = np.full(1, -1)  # the symbol after each string of a collection
 
 
 def _slices(size: int):
@@ -41,10 +42,13 @@ def _packed_words(x: np.ndarray, D: int):
     s is the largest power of two with s * b <= 64, so two words compare as
     unsigned ints the way their s-grams compare, the end of the string below
     every symbol. W is built by log2 s shift-or doublings between two buffers.
+    x may also join strings, each followed by the symbol -1, whose field is 0;
+    then s * b leaves room above the fields for the number of each string.
     """
     n = int(x.size)
+    cut = (x < 0).nonzero()[0]
     b = D.bit_length()
-    s = 1 << ((64 // b).bit_length() - 1)
+    s = 1 << (((64 - cut.size.bit_length()) // b).bit_length() - 1)
     W = np.zeros(n + s, dtype=np.uint64)
     W[:n] = x
     W[:n] += np.uint64(1)
@@ -55,6 +59,9 @@ def _packed_words(x: np.ndarray, D: int):
         V[:n] |= W[w : n + w]
         W, V = V, W
         w *= 2
+    if cut.size:
+        number = np.arange(cut.size, dtype=np.uint64) << np.uint64(s * b)
+        W[:n] += np.repeat(number, np.diff(cut, prepend=-1))
     return W[: n + 1], s, b
 
 
@@ -196,10 +203,11 @@ def _peel(val: np.ndarray, pl: np.ndarray, pr: np.ndarray, span: int):
             e += at.start
             e, left, right = close(e, side, key, add(sid[e] * span, val[e]))
             value, parent, lb, rb = (c[filled : filled + e.size] for c in columns)
-            val.take(e, out=value)
+            # in range, so mode "clip" changes nothing; "raise" would buffer out
+            val.take(e, out=value, mode="clip")
             np.maximum(val[left], val[right], out=parent)
-            pr.take(left, out=lb)
-            pl.take(right, out=rb)
+            pr.take(left, out=lb, mode="clip")
+            pl.take(right, out=rb, mode="clip")
             rb -= 1
             filled += e.size
         got.append([c[:filled] for c in columns])
@@ -366,12 +374,12 @@ def _suffix_array(x: np.ndarray, D: int) -> np.ndarray:
     return sa
 
 
-def _by_level(target: np.ndarray, shift: int, blocks: int, *columns):
-    """The entries with target >> shift == c, for c < blocks <= 2^16: one tuple
+def _by_level(target: np.ndarray, span: int, blocks: int, *columns):
+    """The entries with target // span == c, for c < blocks <= 2^16: one tuple
     (target, *columns) per block, each in the order of the input."""
     if blocks == 1:
         return [(target, *columns)]
-    block = (target >> shift).astype(np.uint16)
+    block = (target // span).astype(np.uint16)
     order = block.argsort(kind="stable")
     ends = np.bincount(block, minlength=blocks).cumsum()
     del block
@@ -383,74 +391,176 @@ def _by_level(target: np.ndarray, shift: int, blocks: int, *columns):
     return got
 
 
-def _ppm_table(n: int, D: int, L: int, intervals: list, s: np.ndarray) -> np.ndarray:
-    """-log2 PPM_k for k = 0..min(L, n-2), from the lcp-intervals as a list
-    [value, parent, count] in post-order, which it empties, and the count s[k]
-    of the final k-gram for k <= L.
+def _repeats(indexes: list) -> None:
+    """Each index's maximal repetition L, from one suffix array and LCP table
+    of their strings joined, each followed by the symbol -1 unless alone: a
+    string's suffixes rank together after its -1, and its lcps are its own
+    (Shi 1996). Each index keeps its stretch of the LCP table and, in
+    _tail[v], the rank of its suffix of length v <= L, for the PPM pass."""
+    n = np.array([idx.n for idx in indexes])
+    end = np.cumsum(n + 1) - 1  # the -1 after each string, or the end of x
+    x = indexes[0]._x if n.size == 1 else np.concatenate([p for i in indexes for p in (i._x, _END)])
+    D = max(idx.seq.alphabet.size for idx in indexes)
+    sa = _suffix_array(x, D)
+    lcp = _lcp_array(x, D, sa)
+    del x
+    lo = end - n + (n.size > 1)  # the rank of each string's first suffix
+    L = np.maximum.reduceat(lcp, lo)
+    lcp = lcp.astype(_narrow(sa.size))
+    off = np.cumsum(L + 1) - (L + 1)
+    tail = np.empty(int(off[-1] + L[-1]) + 1, dtype=lcp.dtype)
+    # the suffix of length v <= L is the first of its v-interval when the final
+    # v-gram repeats; a -1, of length 0, goes to the unread _tail[0]
+    r = (sa >= np.repeat(end - L, n + (n.size > 1))).nonzero()[0]
+    for at in _slices(r.size):
+        p = sa[r[at]]
+        j = end.searchsorted(p)
+        tail[off[j] + end[j] - p] = r[at] - lo[j]
+    del sa
+    for idx, a, b, c in zip(indexes, lo.tolist(), L.tolist(), off.tolist()):
+        idx._maxrep = b
+        if idx._ppm is None:  # the PPM pass takes them
+            idx._lcp, idx._tail = lcp[a : a + idx.n], tail[c : c + b + 1]
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The arrays of a batch back to back; one alone as it is, not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _ppm_pass(indexes: list) -> None:
+    """The maximal repetition and the read-only PPM code lengths of each index,
+    from one pass over all of them; after a failure each builds its tables anew."""
+    todo = [idx for idx in indexes if idx._maxrep is None and idx.n > 0]
+    if todo:
+        _repeats(todo)
+    indexes = [idx for idx in indexes if idx._ppm is None]
+    if not indexes:
+        return
+    n, D, L = (np.array(v) for v in zip(*[(i.n, i.seq.alphabet.size, i._maxrep) for i in indexes]))
+    try:
+        columns = [*_lcp_intervals(_joined([idx._lcp_once() for idx in indexes]))]
+        columns.append(_joined([idx._tail for idx in indexes]))
+        for idx in indexes:
+            idx._tail = None
+        bits = _ppm_table(n, D, L, columns)
+    except BaseException:
+        for idx in indexes:
+            idx._maxrep = idx._lcp = idx._tail = None
+        raise
+    for idx, got in zip(indexes, bits):
+        idx._ppm = got
+
+
+def _ppm_table(n, D, L, columns: list) -> list:
+    """-log2 PPM_k for k = 0..min(L, n-2) of each string of a batch, as
+    read-only views of one array, from the lcp-intervals of their LCP tables
+    joined and their _tail joined, as a list [value, parent, lb, rb, tail],
+    which it empties; n, D and L hold one entry per string.
+
+    s[k], the count of the final k-gram, is 1 unless the suffix of length k
+    opens an interval of value k, which then counts it; the empty word occurs
+    n + 1 times.
 
     G_l[f] sums f(count) over the intervals with parent < l <= value: each adds
     at level parent + 1 and subtracts at level value + 1, and a running sum
-    over the levels gives G_l. The levels go `step` at a time, so no array is
-    as long as L. Within a level the entries add in post-order and then
-    subtract in post-order, one at a time, as np.add.at over the whole list
-    would.
+    over the levels gives G_l. The levels go w at a time, about the mean per
+    string, in a row of sums per level and a column per string, so no array is
+    as long as L. Within a level of a string the entries add in post-order and
+    then subtract in post-order, one at a time, as np.add.at over its list would.
     """
-    value, parent, cnt = intervals
-    intervals.clear()
-    levels = L + 2
-    K = min(L, n - 2) + 1
-    shift = max(_CHUNK.bit_length() - 1, (levels - 1).bit_length() - 16)
-    step, blocks = 1 << shift, ((levels - 1) >> shift) + 1  # at most 2^16 blocks
-    parent += 1
-    adds = _by_level(parent, shift, blocks, cnt)
+    value, parent, lb, cnt, tail = columns
+    columns.clear()
+    cnt -= lb
+    cnt += 1  # the count of each interval
+    m, levels = n.size, L + 2
+    mean, top = -(-int(levels.sum()) // m), int(levels.max())
+    shift = max(min(_CHUNK.bit_length() - 1, (mean - 1).bit_length()), (top - 1).bit_length() - 16)
+    w, blocks = 1 << shift, ((top - 1) >> shift) + 1  # at most 2^16 blocks
+    if top * m >= 2**31:
+        value, parent = value.astype(np.int64), parent.astype(np.int64)
+    order = np.argsort(-levels, kind="stable")  # block c has columns for the first few
+    # per string, in the intervals' type: its first rank, where its tail and s
+    # start, and its column
+    lo, off, col = (np.asarray(a, dtype=value.dtype)
+                    for a in (np.cumsum(n) - n, np.cumsum(L + 1) - (L + 1), order.argsort()))
+    s = np.ones(int(off[-1] + L[-1]) + 1, dtype=cnt.dtype)
+    s[off] = n + 1
+    for at in _slices(value.size):
+        key, rank = value[at], lb[at]
+        if m > 1:  # from each interval's string j, offsets that one string does without
+            j = lo.searchsorted(rank, side="right") - 1
+            key, rank = key + off[j], rank - lo[j]
+        hit = tail[key] == rank
+        s[key[hit]] = cnt[at][hit]
+        for v in (parent[at], value[at]):  # level v + 1 of string j, as (v + 1) m + col[j]
+            v += 1
+            if m > 1:
+                v *= m
+                v += col[j]
+        del key, rank, v  # a view would keep its array
+    del lb, tail
+    adds = _by_level(parent, m << shift, blocks, cnt)
     del parent
-    value += 1
-    subs = _by_level(value, shift, blocks, cnt)
+    subs = _by_level(value, m << shift, blocks, cnt)
     del value, cnt
     # lgf[c] = log2(c!)
-    lgf = np.arange(n + D + 1, dtype=np.longdouble)
+    lgf = np.arange(int((n + D).max()) + 1, dtype=np.longdouble)
     np.log2(lgf[1:], out=lgf[1:])
     lgf[1:].cumsum(out=lgf[1:])
-    log_d, w0 = np.log2(np.longdouble(D)), lgf[D - 1]
+    K = np.minimum(L, n - 2) + 1
+    first = np.cumsum(K) - K  # where each string's bits start
+    # by column: n, D - 1, log2 D, G_0[h] (the empty word occurs n + 1 times),
+    # where s and the bits start, and K
+    cn, cd, log_d, g0, off, first, K = (v[order] for v in (
+        n, D - 1, np.log2(D.astype(np.longdouble)), lgf[n + D] - lgf[D - 1], off, first, K))
+    d = cd if D.min() < D.max() else int(D[0]) - 1  # D - 1 of each entry's column
     out = []
     # the sums of log2 c!, h(c) = log2((c+D-1)!/(D-1)!) and c from the level
-    # before the block on, the first entry carried over from the last block
-    carry = [np.longdouble(0), np.longdouble(0), 0]
+    # before the block on
+    sums = [np.zeros((w + 1, m), dtype=t) for t in (np.longdouble, np.longdouble, np.int64)]
     for c in range(blocks):
-        a = c * step
-        sums = []
-        for g, dtype in zip(carry, (np.longdouble, np.longdouble, np.int64)):
-            sums.append(np.zeros(min(step, levels - a) + 1, dtype=dtype))
-            sums[-1][0] = g
+        a = c * w
+        cols = int(np.count_nonzero(levels > a))
+        for g in sums:
+            g[0, :cols] = g[-1, :cols]
+            g[1:, :cols] = 0
         for at, (target, cnt) in ((np.add.at, adds[c]), (np.subtract.at, subs[c])):
             for e in _slices(target.size):
-                to = np.subtract(target[e], a - 1, dtype=np.intp)
-                m = cnt[e].astype(np.intp)
-                at(sums[0], to, lgf[m])
-                w = lgf[m + (D - 1)]
-                w -= w0
-                at(sums[1], to, w)
-                at(sums[2], to, m)
-        for g in sums:
-            g.cumsum(out=g)
-        carry = [g[-1] for g in sums]
-        lo, hi = max(a - 1, 0), min(a + step - 1, K)
-        if lo < hi:
-            # bits[k] reads G_{k+1}[log2 c!], G_k[h] and G_k[c], at entry k + 1 - a
-            k = np.arange(lo, hi)
-            A = sums[0][lo + 2 - a : hi + 2 - a]
-            Gh, C = (g[lo + 1 - a : hi + 1 - a] for g in sums[1:])
-            # each l-gram outside every interval occurs once and adds h(1) = log2 D
-            Gh = Gh + log_d * (n - k + 1 - C)
-            if lo == 0:
-                Gh[0] = lgf[n + D] - w0  # the empty word occurs n + 1 times
-            log_s = (s[lo:hi] + (D - 1)).astype(np.longdouble)
-            np.log2(log_s, out=log_s)
-            bits = k * log_d - A + Gh - log_s
-            out.append(bits.astype(np.float64))
+                to = np.subtract(target[e], (a - 1) * m, dtype=np.intp)
+                cm = cnt[e].astype(np.intp)
+                at(sums[0].reshape(-1), to, lgf[cm])
+                dc = d if isinstance(d, int) else d[to % m]
+                h = lgf[cm + dc]
+                h -= lgf[dc]
+                at(sums[1].reshape(-1), to, h)
+                at(sums[2].reshape(-1), to, cm)
+        G = [g[:, :cols] for g in sums]
+        for g in G:
+            g.cumsum(axis=0, out=g)
+        # bits[k] reads G_{k+1}[log2 c!], G_k[h] and G_k[c], at rows k + 2 - a and
+        # k + 1 - a, for k below the block's end and some column's K
+        k = np.arange(a - 1, min(a + w - 1, int(K[:cols].max())))[:, None]
+        # each l-gram outside every interval occurs once and adds h(1) = log2 D;
+        # in place, in the order of k log2 D - A + (G_h + log2 D (n-k+1-C)) - log2 s
+        Gh = (cn[:cols] - k + 1 - G[2][: k.size]) * log_d[:cols]
+        Gh += G[1][: k.size]
+        Gh[k[:, 0] == 0] = g0[:cols]
+        bits = k * log_d[:cols]
+        bits -= G[0][1 : k.size + 1]
+        Gh += bits
+        log_s = (s.take(off[:cols] + k, mode="clip") + cd[:cols]).astype(np.longdouble)
+        Gh -= np.log2(log_s, out=log_s)
+        ok = (k >= 0) & (k < K[:cols])
+        out.append(((first[:cols] + k)[ok].astype(s.dtype), Gh[ok].astype(np.float64)))
+        del G, k, Gh, bits, log_s, ok
         adds[c] = subs[c] = None
     del lgf
-    return np.concatenate(out)
+    bits = np.empty(int(K.sum()))
+    for at, got in out:
+        bits[at] = got
+    bits.flags.writeable = False  # shared by every caller
+    return [bits[a : a + k] for a, k in zip(first[col].tolist(), K[col].tolist())]
 
 
 @dataclass
@@ -499,10 +609,11 @@ class FrequencyIndex:
         self._x = seq.ids
         self._gids: dict[int, np.ndarray] = {}
         self._gcounts: dict[int, np.ndarray] = {}
+        self._vocab = (1,)  # the vocabulary size of each gram length refined, kept past _prune
         self._lcp = None
         self._tail = None  # _tail[v]: rank of the suffix of length v, for v <= L
         self._maxrep = None
-        self._ppm = None
+        self._ppm = np.empty(0) if self.n < 2 else None
         self._h_cache: dict[int, float] = {}
         self.lz78_bits: float | None = None  # set once by codes.lz78_code_length
         self.ppm_bits: float | None = None  # set once by codes.ppm_semidistribution_entropy
@@ -530,6 +641,8 @@ class FrequencyIndex:
             for length in range(base + 1, k + 1):
                 ids, cnt = self._refine(self._gids[length - 1], length)
                 self._gids[length], self._gcounts[length] = ids, cnt
+                if length == len(self._vocab):
+                    self._vocab += (int(cnt.size),)  # a tuple is the smallest record
                 self._prune(length)
             got = self._gids[k]
         return got
@@ -566,25 +679,16 @@ class FrequencyIndex:
             raise ValueError("order must be >= 0")
         if k > self.n:
             return 0
-        return int(self.gram_counts(k).size)
+        if k >= len(self._vocab):
+            self.gram_ids(k)
+        return self._vocab[k]
 
     def max_repetition(self) -> int:
         """Largest k such that some length-k substring occurs at least twice."""
         if self.n < 1:
             raise ValueError("maximal repetition needs a non-empty sequence")
         if self._maxrep is None:
-            n, D = self.n, self.seq.alphabet.size
-            sa = _suffix_array(self._x, D)
-            lcp = _lcp_array(self._x, D, sa)
-            L = int(lcp.max()) if n > 1 else 0
-            # the suffix of length v <= L is the first of its v-interval when the
-            # final v-gram repeats
-            self._tail = np.empty(L + 1, dtype=_narrow(n))
-            r = (sa >= n - L).nonzero()[0]
-            self._tail[n - sa[r]] = r
-            del sa, r
-            self._lcp = lcp.astype(_narrow(n))
-            self._maxrep = L
+            _repeats([self])
         return self._maxrep
 
     def ppm_code_lengths(self) -> np.ndarray:
@@ -599,36 +703,11 @@ class FrequencyIndex:
         where the last term takes the final k-gram, which has no successor,
         out of G_k[h]. One pass over the lcp-intervals gives G_l for every l.
         Sums run in extended precision, since the terms cancel to far below
-        their size.
+        their size. ppm_pass fills many indexes at once.
         """
         if self._ppm is None:
-            try:
-                self._ppm = self._ppm_pass() if self.n >= 2 else np.empty(0)
-            except BaseException:
-                # the pass takes the LCP table and the tails from the index, so
-                # a retry builds them again
-                self._maxrep = self._lcp = self._tail = None
-                raise
-            self._ppm.flags.writeable = False  # shared by every caller
+            _ppm_pass([self])
         return self._ppm
-
-    def _ppm_pass(self) -> np.ndarray:
-        L = self.max_repetition()
-        tail, self._tail = self._tail, None
-        value, parent, lb, rb = _lcp_intervals(self._lcp_once())
-        rb -= lb
-        rb += 1  # the count of each interval
-        # s[k], the count of the final k-gram, is 1 unless the suffix of length
-        # k opens an interval of value k, which then counts it; the empty word
-        # occurs n + 1 times
-        s = np.ones(L + 2, dtype=rb.dtype)
-        hit = tail[value] == lb
-        del tail, lb
-        s[value[hit]] = rb[hit]
-        s[0] = self.n + 1
-        intervals = [value, parent, rb]
-        del value, parent, rb, hit
-        return _ppm_table(self.n, self.seq.alphabet.size, L, intervals, s)
 
     def _lcp_once(self) -> np.ndarray:
         """The LCP table, which only the PPM pass reads after the maximal
@@ -694,6 +773,12 @@ class FrequencyIndex:
         weighted = [(self.n - k) * h[k] for k in range(kmax + 1)]
         vocab = [self.vocab_size(k) for k in range(kmax + 1)]
         return EntropyProfile(n=self.n, h=h, weighted=weighted, vocab=vocab)
+
+
+def ppm_pass(seqs: list) -> None:
+    """Fill max_repetition() and ppm_code_lengths() of each sequence's index by
+    one pass over them all; each gets the values it would get alone."""
+    _ppm_pass(list(dict.fromkeys(build_index(x) for x in seqs)))
 
 
 def build_index(x: Sequence) -> FrequencyIndex:

@@ -32,7 +32,7 @@ from .mi import SplitPreconditionError, mi_bound_rhs
 from .orders import kt_order, universal_markov_order
 from .sequence import Sequence, uniform_alphabet
 from .sources import make_markov
-from .stats import build_index
+from .stats import build_index, ppm_pass
 
 EPS = 1e-9
 FORM_TOL = 1e-12
@@ -133,6 +133,7 @@ class Workspace:
             self._exhaustive = [
                 x for n in range(1, self.budget.exhaustive_max_n + 1) for x in self.of_length(n)
             ]
+            ppm_pass(self._exhaustive)  # L and the PPM code lengths of all, in one pass
         return self._exhaustive
 
     def piece(self, x: Sequence, start: int, stop: int) -> Sequence | None:
@@ -181,6 +182,7 @@ class Workspace:
                     src = make_markov(D, 1, seed=int(rng.integers(1 << 30)),
                                       concentration=0.6)
                     out.append(src.sample(n, seed=int(rng.integers(1 << 30))))
+            ppm_pass(out)  # L and the PPM code lengths of all, in one pass
             self._random = out
         return self._random
 

@@ -290,6 +290,67 @@ def test_maxrep_lower_bound(ids):
     assert L >= math.log2(n - math.log2(n)) - 1 - 1e-9
 
 
+@st.composite
+def _batch(draw):
+    """(D, ids) pairs of a mixed batch: random, constant and periodic strings
+    over D in {2, 3, 4, 256}, then a string before its own extension, equal
+    adjacent strings, n = 1 and n = 2."""
+    got = []
+    for _ in range(draw(st.integers(0, 6))):
+        D = draw(st.sampled_from([2, 3, 4, 256]))
+        n = draw(st.integers(1, 60))
+        kind = draw(st.sampled_from(["random", "constant", "periodic"]))
+        if kind == "random":
+            ids = draw(st.lists(st.integers(0, D - 1), min_size=n, max_size=n))
+        elif kind == "constant":
+            ids = [draw(st.integers(0, D - 1))] * n
+        else:
+            ids = (draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=5)) * n)[:n]
+        got.append((D, ids))
+    same = draw(st.lists(st.integers(0, 3), min_size=1, max_size=30))
+    return got + [(2, [0, 1]), (2, [0, 1, 0, 1]), (4, same), (4, same), (3, [2]), (256, [255, 255])]
+
+
+@given(_batch())
+@example([(2, [0, 1] * 40), (2, [0] * 300), (256, list(range(256)) * 2)])
+# equal L, so equal levels, and the first string with the smaller K
+@example([(2, [0, 0, 0]), (2, [0, 1]), (2, [0, 1, 0, 1]), (4, [0]), (4, [0])])
+def test_ppm_pass_over_a_batch_gives_each_string_its_own_values(batch):
+    seqs = [seq(ids, D) for D, ids in batch]
+    build_index(seqs[-1]).max_repetition()  # its LCP table joins the others' in the pass
+    calls = []
+    suffix_array = stats._suffix_array
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_suffix_array", lambda *a: calls.append(1) or suffix_array(*a))
+        stats.ppm_pass(seqs)
+    assert len(calls) == 1
+    for (D, ids), x in zip(batch, seqs):
+        idx, alone = build_index(x), stats.FrequencyIndex(seq(ids, D))
+        assert idx.max_repetition() == alone.max_repetition() == maxrep_oracle(ids)
+        bits = idx.ppm_code_lengths()
+        assert bits.tobytes() == alone.ppm_code_lengths().tobytes()
+        assert bits.size == max(min(idx.max_repetition(), len(ids) - 2) + 1, 0)
+        for k, b in enumerate(bits.tolist()):
+            assert b == pytest.approx(ppm_log_measure_closed(x, k), abs=1e-9)
+
+
+def test_profile_refines_each_gram_length_once(monkeypatch):
+    # |V_k| is recorded when length k is refined, so the lengths above
+    # _KEEP_LEN that h_0..h_8 refined and dropped are not refined again
+    ids = np.random.default_rng(5).integers(0, 2, 2000)
+    lengths = []
+    refine = stats.FrequencyIndex._refine
+
+    def spy(self, prev, k):
+        lengths.append(k)
+        return refine(self, prev, k)
+
+    monkeypatch.setattr(stats.FrequencyIndex, "_refine", spy)
+    profile = stats.FrequencyIndex(seq(ids, 2)).profile(8)
+    assert lengths == list(range(1, 10))
+    assert profile.vocab == [vocab_oracle(ids.tolist(), k) for k in range(9)]
+
+
 def _traced_peak(call):
     """call() and the peak bytes that tracemalloc traced during it, above what
     was traced before."""

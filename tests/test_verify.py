@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 import mol.verify
-from mol import Sequence, build_index, uniform_alphabet
+from mol import Sequence, build_index, stats, uniform_alphabet
 from mol.codes import kraft_sum
 from mol.stats import FrequencyIndex
 from mol.verify import VerifyBudget, Workspace, _label, _superadditivity_value, run_suites, suite_kraft
@@ -128,3 +128,14 @@ def test_h_suites_query_no_proper_window_on_the_universe(monkeypatch):
     assert all(r.passed and r.cases for r in results)
     assert windows
     assert [w for w in windows if w[:2] != (0, w[2])] == []
+
+
+def test_universe_and_random_strings_take_one_ppm_pass_each(monkeypatch):
+    # the Workspace fills L and the PPM code lengths of its exhaustive universe
+    # and of its random strings by one batch each, not one pass per string
+    calls = []
+    suffix_array = stats._suffix_array
+    monkeypatch.setattr(stats, "_suffix_array", lambda *a: calls.append(1) or suffix_array(*a))
+    results = run_suites(["ppm-closed-form", "order-le-maxrep"], SMALL)
+    assert all(r.passed and r.cases for r in results)
+    assert len(calls) <= 2
