@@ -391,72 +391,49 @@ def _by_level(target: np.ndarray, span: int, blocks: int, *columns):
     return got
 
 
-def _repeats(indexes: list) -> None:
-    """Each index's maximal repetition L, from one suffix array and LCP table
-    of their strings joined, each followed by the symbol -1 unless alone: a
-    string's suffixes rank together after its -1, and its lcps are its own
-    (Shi 1996). Each index keeps its stretch of the LCP table and, in
-    _tail[v], the rank of its suffix of length v <= L, for the PPM pass."""
-    n = np.array([idx.n for idx in indexes])
+def _ppm_pass(indexes: list) -> None:
+    """The maximal repetition L, the largest lcp, and the read-only PPM code
+    lengths, which end there, of each index that lacks them, from one suffix
+    array and LCP table of their strings joined, each followed by the symbol -1
+    unless alone: a string's suffixes rank together after its -1, and its lcps
+    are its own (Shi 1996). A failed pass stores nothing, so it runs again."""
+    indexes = [idx for idx in indexes if idx._maxrep is None and idx.n > 0]
+    if not indexes:
+        return
+    n, D = (np.array(v) for v in zip(*[(i.n, i.seq.alphabet.size) for i in indexes]))
     end = np.cumsum(n + 1) - 1  # the -1 after each string, or the end of x
     x = indexes[0]._x if n.size == 1 else np.concatenate([p for i in indexes for p in (i._x, _END)])
-    D = max(idx.seq.alphabet.size for idx in indexes)
-    sa = _suffix_array(x, D)
-    lcp = _lcp_array(x, D, sa)
+    sa = _suffix_array(x, int(D.max()))
+    lcp = [_lcp_array(x, int(D.max()), sa)]  # in a list, so the peel gets its only reference
     del x
     lo = end - n + (n.size > 1)  # the rank of each string's first suffix
-    L = np.maximum.reduceat(lcp, lo)
-    lcp = lcp.astype(_narrow(sa.size))
+    L = np.maximum.reduceat(lcp[0], lo)
+    lcp[0][lo[1:] - 1] = 0  # each -1 after the first: its string's number makes it read -1
     off = np.cumsum(L + 1) - (L + 1)
-    tail = np.empty(int(off[-1] + L[-1]) + 1, dtype=lcp.dtype)
-    # the suffix of length v <= L is the first of its v-interval when the final
-    # v-gram repeats; a -1, of length 0, goes to the unread _tail[0]
+    tail = np.empty(int(off[-1] + L[-1]) + 1, dtype=_narrow(sa.size))
+    # tail[off[j] + v]: the rank of string j's suffix of length v <= L, the
+    # first of its v-interval when the final v-gram repeats; a -1, of length 0,
+    # goes to the unread tail[off[j]]
     r = (sa >= np.repeat(end - L, n + (n.size > 1))).nonzero()[0]
     for at in _slices(r.size):
         p = sa[r[at]]
         j = end.searchsorted(p)
-        tail[off[j] + end[j] - p] = r[at] - lo[j]
-    del sa
-    for idx, a, b, c in zip(indexes, lo.tolist(), L.tolist(), off.tolist()):
-        idx._maxrep = b
-        if idx._ppm is None:  # the PPM pass takes them
-            idx._lcp, idx._tail = lcp[a : a + idx.n], tail[c : c + b + 1]
+        tail[off[j] + end[j] - p] = r[at]
+        del p, j
+    del sa, r
+    columns = [*_lcp_intervals(lcp.pop()), tail]
+    del tail
+    bits = _ppm_table(n, D, L, lo, columns)
+    for idx, b, got in zip(indexes, L.tolist(), bits):
+        idx._maxrep, idx._ppm = b, got
 
 
-def _joined(parts: list) -> np.ndarray:
-    """The arrays of a batch back to back; one alone as it is, not copied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _ppm_pass(indexes: list) -> None:
-    """The maximal repetition and the read-only PPM code lengths of each index,
-    from one pass over all of them; after a failure each builds its tables anew."""
-    todo = [idx for idx in indexes if idx._maxrep is None and idx.n > 0]
-    if todo:
-        _repeats(todo)
-    indexes = [idx for idx in indexes if idx._ppm is None]
-    if not indexes:
-        return
-    n, D, L = (np.array(v) for v in zip(*[(i.n, i.seq.alphabet.size, i._maxrep) for i in indexes]))
-    try:
-        columns = [*_lcp_intervals(_joined([idx._lcp_once() for idx in indexes]))]
-        columns.append(_joined([idx._tail for idx in indexes]))
-        for idx in indexes:
-            idx._tail = None
-        bits = _ppm_table(n, D, L, columns)
-    except BaseException:
-        for idx in indexes:
-            idx._maxrep = idx._lcp = idx._tail = None
-        raise
-    for idx, got in zip(indexes, bits):
-        idx._ppm = got
-
-
-def _ppm_table(n, D, L, columns: list) -> list:
+def _ppm_table(n, D, L, lo, columns: list) -> list:
     """-log2 PPM_k for k = 0..min(L, n-2) of each string of a batch, as
-    read-only views of one array, from the lcp-intervals of their LCP tables
-    joined and their _tail joined, as a list [value, parent, lb, rb, tail],
-    which it empties; n, D and L hold one entry per string.
+    read-only views of one array, from the lcp-intervals of their joined LCP
+    table and the rank of each string's suffix of length v <= L, as a list
+    [value, parent, lb, rb, tail], which it empties; n, D, L and lo, the rank
+    of each string's first suffix, hold one entry per string.
 
     s[k], the count of the final k-gram, is 1 unless the suffix of length k
     opens an interval of value k, which then counts it; the empty word occurs
@@ -483,14 +460,14 @@ def _ppm_table(n, D, L, columns: list) -> list:
     # per string, in the intervals' type: its first rank, where its tail and s
     # start, and its column
     lo, off, col = (np.asarray(a, dtype=value.dtype)
-                    for a in (np.cumsum(n) - n, np.cumsum(L + 1) - (L + 1), order.argsort()))
+                    for a in (lo, np.cumsum(L + 1) - (L + 1), order.argsort()))
     s = np.ones(int(off[-1] + L[-1]) + 1, dtype=cnt.dtype)
     s[off] = n + 1
     for at in _slices(value.size):
         key, rank = value[at], lb[at]
-        if m > 1:  # from each interval's string j, offsets that one string does without
+        if m > 1:  # from each interval's string j, an offset that one string does without
             j = lo.searchsorted(rank, side="right") - 1
-            key, rank = key + off[j], rank - lo[j]
+            key = key + off[j]
         hit = tail[key] == rank
         s[key[hit]] = cnt[at][hit]
         for v in (parent[at], value[at]):  # level v + 1 of string j, as (v + 1) m + col[j]
@@ -599,8 +576,9 @@ class FrequencyIndex:
 
     Distinct k-grams are exposed as dense integer group ids per starting
     position; counts, vocabulary sizes and conditional entropies are all
-    derived from those. The suffix array and its LCP table, built once, back
-    the maximal repetition and the PPM code lengths of every order.
+    derived from those. One pass over the suffix array and its LCP table
+    gives the maximal repetition and the PPM code lengths of every order
+    together, and the index keeps neither table.
     """
 
     def __init__(self, seq: Sequence):
@@ -610,9 +588,7 @@ class FrequencyIndex:
         self._gids: dict[int, np.ndarray] = {}
         self._gcounts: dict[int, np.ndarray] = {}
         self._vocab = (1,)  # the vocabulary size of each gram length refined, kept past _prune
-        self._lcp = None
-        self._tail = None  # _tail[v]: rank of the suffix of length v, for v <= L
-        self._maxrep = None
+        self._maxrep = None  # set with _ppm by the PPM pass
         self._ppm = np.empty(0) if self.n < 2 else None
         self._h_cache: dict[int, float] = {}
         self.lz78_bits: float | None = None  # set once by codes.lz78_code_length
@@ -684,11 +660,12 @@ class FrequencyIndex:
         return self._vocab[k]
 
     def max_repetition(self) -> int:
-        """Largest k such that some length-k substring occurs at least twice."""
+        """Largest k such that some length-k substring occurs at least twice,
+        where the table of ppm_code_lengths() ends: one pass gives both."""
         if self.n < 1:
             raise ValueError("maximal repetition needs a non-empty sequence")
         if self._maxrep is None:
-            _repeats([self])
+            _ppm_pass([self])
         return self._maxrep
 
     def ppm_code_lengths(self) -> np.ndarray:
@@ -709,12 +686,6 @@ class FrequencyIndex:
             _ppm_pass([self])
         return self._ppm
 
-    def _lcp_once(self) -> np.ndarray:
-        """The LCP table, which only the PPM pass reads after the maximal
-        repetition; the index lets go of it."""
-        lcp, self._lcp = self._lcp, None
-        return lcp
-
     def window_cond_entropy(self, k: int, start: int, stop: int) -> float:
         """h_k of the window x[start:stop] (0-based, half-open), from shared gram ids.
 
@@ -722,7 +693,8 @@ class FrequencyIndex:
         and their order by position, are those of an index built on the slice.
         Above the maximal repetition every k-gram and (k+1)-gram occurs once, so
         h_k is 0.0; a query more than one length past the refined grams asks for
-        the maximal repetition, O(n log n), instead of refining up to k + 1.
+        the maximal repetition, which the PPM pass gives in O(n log n), instead
+        of refining up to k + 1.
         """
         if not 0 <= start <= start + k < stop <= self.n:
             raise ValueError(
@@ -777,7 +749,8 @@ class FrequencyIndex:
 
 def ppm_pass(seqs: list) -> None:
     """Fill max_repetition() and ppm_code_lengths() of each sequence's index by
-    one pass over them all; each gets the values it would get alone."""
+    one pass over them all, L with the PPM table that ends at it; each gets the
+    values it would get alone."""
     _ppm_pass(list(dict.fromkeys(build_index(x) for x in seqs)))
 
 

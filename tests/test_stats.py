@@ -220,9 +220,8 @@ def test_lcp_intervals_match_the_stack_walk_on_every_binary_string():
 def test_peel_rounds_grow_with_the_log_of_n():
     # each round's valleys are local minima of the last round's valleys
     def lcp_of(ids, D):
-        idx = build_index(seq(ids, D))
-        idx.max_repetition()
-        return idx._lcp
+        x = seq(ids, D).ids
+        return stats._lcp_array(x, D, stats._suffix_array(x, D))
 
     n = 10**5
     bound = math.ceil(math.log2(n)) + 2
@@ -317,7 +316,7 @@ def _batch(draw):
 @example([(2, [0, 0, 0]), (2, [0, 1]), (2, [0, 1, 0, 1]), (4, [0]), (4, [0])])
 def test_ppm_pass_over_a_batch_gives_each_string_its_own_values(batch):
     seqs = [seq(ids, D) for D, ids in batch]
-    build_index(seqs[-1]).max_repetition()  # its LCP table joins the others' in the pass
+    build_index(seqs[-1]).max_repetition()  # it holds its PPM table too, so the pass leaves it out
     calls = []
     suffix_array = stats._suffix_array
     with pytest.MonkeyPatch.context() as mp:
@@ -404,9 +403,32 @@ def test_entropy_profile_holds_under_its_bytes_per_symbol(name, ids, D, bound):
     assert peak < bound * len(x), f"{name}: {peak / len(x):.1f} bytes per symbol"
 
 
+def test_maximal_repetition_comes_with_the_ppm_table_and_holds_no_lcp_table(monkeypatch):
+    # L is the end of the PPM table: one pass fills both and keeps neither the
+    # suffix array nor the LCP table (4 bytes per symbol when the LCP table was
+    # kept for a later PPM pass)
+    idx = stats.FrequencyIndex(seq(np.random.default_rng(3).integers(0, 2, 10**5), 2))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        idx.max_repetition()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held < idx.n, f"{held / idx.n:.2f} bytes per symbol"
+    calls = []
+    suffix_array = stats._suffix_array
+    monkeypatch.setattr(stats, "_suffix_array", lambda *a: calls.append(1) or suffix_array(*a))
+    assert idx.ppm_code_lengths().size == min(idx.max_repetition(), idx.n - 2) + 1
+    assert calls == []
+
+
 def test_ppm_pass_can_be_retried_after_it_fails(monkeypatch):
-    # the pass takes the LCP table from the index; a failure partway must let
-    # a second call build it again
+    # the pass stores L and the PPM table only at its end; a failure partway
+    # must leave a fresh index that a second call fills
     ids = [0, 1, 2, 0, 1, 3] * 50
     want = build_index(seq(ids, 4)).ppm_code_lengths()
 
@@ -414,9 +436,10 @@ def test_ppm_pass_can_be_retried_after_it_fails(monkeypatch):
         raise MemoryError
 
     idx = stats.FrequencyIndex(seq(ids, 4))
-    idx.max_repetition()
     with monkeypatch.context() as m:
         m.setattr(stats, "_ppm_table", fail)
+        with pytest.raises(MemoryError):
+            idx.max_repetition()
         with pytest.raises(MemoryError):
             idx.ppm_code_lengths()
     got = idx.ppm_code_lengths()
