@@ -351,8 +351,8 @@ def test_profile_refines_each_gram_length_once(monkeypatch):
 
 
 def _traced_peak(call):
-    """call() and the peak bytes that tracemalloc traced during it, above what
-    was traced before."""
+    """call(), the peak bytes that tracemalloc traced during it and the bytes
+    still traced after it, both above what was traced before."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -360,7 +360,8 @@ def _traced_peak(call):
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         got = call()
-        return got, tracemalloc.get_traced_memory()[1] - base
+        held, peak = tracemalloc.get_traced_memory()
+        return got, peak - base, held - base
     finally:
         if not tracing:
             tracemalloc.stop()
@@ -380,7 +381,7 @@ def test_exact_ppm_holds_under_48_bytes_per_symbol(name, ids, D):
     # as many levels as symbols
     x = seq(ids, D)
     idx = stats.FrequencyIndex(x)
-    bits, peak = _traced_peak(idx.ppm_code_lengths)
+    bits, peak, _ = _traced_peak(idx.ppm_code_lengths)
     assert bits.size == min(idx.max_repetition(), len(x) - 2) + 1
     assert peak < 48 * len(x), f"{name}: {peak / len(x):.1f} bytes per symbol"
 
@@ -398,7 +399,7 @@ def test_entropy_profile_holds_under_its_bytes_per_symbol(name, ids, D, bound):
     # h_0..h_8 and |V_0|..|V_8| on a fresh index, above the int64 ids: the
     # gram ids and counts of lengths 1-4 and the two latest lengths stay held
     x = seq(ids, D)
-    profile, peak = _traced_peak(lambda: stats.FrequencyIndex(x).profile(8))
+    profile, peak, _ = _traced_peak(lambda: stats.FrequencyIndex(x).profile(8))
     assert len(profile.h) == 9
     assert peak < bound * len(x), f"{name}: {peak / len(x):.1f} bytes per symbol"
 
@@ -408,16 +409,7 @@ def test_maximal_repetition_comes_with_the_ppm_table_and_holds_no_lcp_table(monk
     # suffix array nor the LCP table (4 bytes per symbol when the LCP table was
     # kept for a later PPM pass)
     idx = stats.FrequencyIndex(seq(np.random.default_rng(3).integers(0, 2, 10**5), 2))
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        idx.max_repetition()
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    _, _, held = _traced_peak(idx.max_repetition)
     assert held < idx.n, f"{held / idx.n:.2f} bytes per symbol"
     calls = []
     suffix_array = stats._suffix_array
