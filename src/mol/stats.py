@@ -268,7 +268,10 @@ def _lcp_intervals(lcp: np.ndarray):
     del v
     parts = [[np.empty(0, dtype=narrow)] for _ in range(4)]  # value, parent, lb, rb
     while val.size > 1:
+        size = val.size
         val, pl, pr, got = _peel(val, pl, pr, n + 1)
+        if val.size == size:  # a value below the zero ends leaves a stretch open
+            raise ValueError("a peel round closed nothing: the lcp table has a negative entry")
         for c, part in enumerate(parts):
             part.extend(piece[c] for piece in got)
         del got
@@ -691,20 +694,24 @@ class FrequencyIndex:
 
         Equal grams keep equal ids inside any window, so the window's counts,
         and their order by position, are those of an index built on the slice.
-        Above the maximal repetition every k-gram and (k+1)-gram occurs once, so
-        h_k is 0.0; a query more than one length past the refined grams asks for
-        the maximal repetition, which the PPM pass gives in O(n log n), instead
-        of refining up to k + 1.
+        Above the maximal repetition L every gram occurs once and h_k is 0.0. A
+        query past the refined grams refines one length l at a time, 0.0 once the
+        l-grams are all distinct (L < l <= k); it asks for L only if the index
+        knows it or after log2 n steps, about the cost of the PPM pass.
         """
         if not 0 <= start <= start + k < stop <= self.n:
             raise ValueError(
                 f"need 0 <= start <= start + k < stop <= n, got k={k}, "
                 f"window=({start}, {stop}), n={self.n}"
             )
-        # a stepwise query finds k - 1 refined and never takes the max
-        if k - 1 not in self._gids and k > max(self._gids, default=0) + 1:
-            if k > self.max_repetition():
-                return 0.0
+        for _ in range(self.n.bit_length()):
+            top = len(self._vocab) - 1  # the longest gram length refined
+            if top > k or self._vocab[top] == self.n - top + 1 or self._maxrep is not None:
+                break
+            self.gram_ids(top + 1)
+        top = len(self._vocab) - 1
+        if top <= k and (self._vocab[top] == self.n - top + 1 or k > self.max_repetition()):
+            return 0.0
         m = stop - start - k
         gids_k = self.gram_ids(k)
         ids_k = gids_k[start : start + m]

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -11,6 +12,7 @@ from mol import (
     Lz78Code,
     PpmCode,
     UniformCode,
+    build_index,
     ingest,
     kraft_sum,
     kt_order,
@@ -24,7 +26,11 @@ from mol import (
     ppm_log_measure,
     ppm_log_measure_closed,
     ppm_semidistribution_entropy,
+    ram_test,
+    sticky_chain,
 )
+import mol.codes
+import mol.stats
 from mol.codes import _lg_factorial, _zeta2_tail
 
 from oracles import (
@@ -244,8 +250,25 @@ def test_lz78_matches_oracle_wide_alphabet(case):
     assert lz78_code_length(seq(ids, D)) == lz78_oracle(ids, D)
 
 
+@pytest.mark.parametrize("D", [2, 12, 13, 256])
+def test_lz78_matches_oracle_on_both_sides_of_the_list_trie_bound(D):
+    # D <= 12 parses on a list trie, a larger D on a dict trie
+    assert (D <= mol.codes._LIST_TRIE_MAX_D) == (D <= 12)
+    ids = np.random.default_rng(D).integers(0, D, 5000).tolist()
+    assert lz78_code_length(seq(ids, D)) == lz78_oracle(ids, D)
+    # phrases (D-1) and (0), then a match of phrase 1 that runs out of input
+    ends_inside = [D - 1, 0, D - 1]
+    assert lz78_code_length(seq(ends_inside, D)) == lz78_oracle(ends_inside, D)
+
+
+def test_pointer_bits_closed_form_equals_the_sum():
+    total = 0
+    for phrases in range(20000):
+        assert mol.codes._pointer_bits(phrases) == total
+        total += phrases.bit_length()  # the pointer of phrase j = phrases + 1
+
+
 def test_lz78_parses_once_per_sequence(tmp_path, monkeypatch, capsys):
-    import mol.codes
     from mol.cli import main
 
     calls = []
@@ -263,6 +286,26 @@ def test_lz78_parses_once_per_sequence(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert calls == [5000]  # universal order, MGZ and RAM share one parse
+
+
+def test_lz78_ram_past_the_refined_grams_runs_no_ppm_pass(tmp_path, monkeypatch, capsys):
+    from mol.cli import main
+
+    passes = []
+    ppm_pass = mol.stats._ppm_pass
+    monkeypatch.setattr(mol.stats, "_ppm_pass", lambda indexes: passes.append(1) or ppm_pass(indexes))
+    path = tmp_path / "x.bin"
+    path.write_bytes(bytes(sticky_chain(0.9).sample(5000, seed=4).ids.astype(np.uint8)))
+    # both order scans stop at k = 1, so grams up to length 2 are refined; h_8 needs length 9
+    code = main(["estimate", "--backend", "lz78", "--mgz", "0.1", "--ram", "8:0.05",
+                 str(path)])
+    ram = json.loads(capsys.readouterr().out)["results"][0]["ram"]
+    assert code == 0
+    assert passes == []
+    # the same statistic as from an index that knows L, which lies past 8
+    x = ingest(path.read_bytes())
+    assert build_index(x).max_repetition() > 8
+    assert ram["statistic"] == ram_test(x, 8, 0.05, make_code("lz78")).statistic
 
 
 # -- Kraft sums ---------------------------------------------------------------

@@ -246,6 +246,12 @@ def test_peel_rounds_grow_with_the_log_of_n():
             assert 1 <= len(rounds) <= most
 
 
+def test_peel_raises_on_a_negative_lcp_instead_of_spinning():
+    # a value below the zero ends leaves a stretch that no round closes
+    with pytest.raises(ValueError, match="negative"):
+        stats._lcp_intervals(np.array([0, 1, -1, 2, 0]))
+
+
 # -- vocabulary and maximal repetition ---------------------------------------
 
 
@@ -571,11 +577,21 @@ def test_windows_past_the_maximal_repetition_refine_nothing(monkeypatch, D, ids)
     refine = stats.FrequencyIndex._refine
     monkeypatch.setattr(stats.FrequencyIndex, "_refine",
                         lambda self, prev, length: refined.append(length) or refine(self, prev, length))
+    # an index that knows L refines nothing past it
+    known = stats.FrequencyIndex(x)
+    assert known.max_repetition() == L
+    for k in range(n - 1, L, -1):
+        for a, b in _windows(n, k):
+            assert known.window_cond_entropy(k, a, b) == want[k, a, b] == 0.0
+    assert refined == []
+    # a fresh index refines from length 1 until its grams are all distinct, or
+    # for log2 n lengths and then asks for L, and refines nothing past L after
     idx = stats.FrequencyIndex(x)
     for k in range(n - 1, L, -1):
         for a, b in _windows(n, k):
             assert idx.window_cond_entropy(k, a, b) == want[k, a, b] == 0.0
-    assert refined == []
+    assert refined == list(range(1, len(refined) + 1))
+    assert len(refined) <= min(L + 1, n.bit_length())
     for k in range(min(L, n - 1), -1, -1):
         for a, b in _windows(n, k):
             assert idx.window_cond_entropy(k, a, b) == want[k, a, b]
