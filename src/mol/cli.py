@@ -153,40 +153,27 @@ def _estimate_file(task: dict) -> tuple[dict, str]:
 
 def _cmd_estimate(args) -> int:
     seed = _resolve_seed(args.seed)
+    _check_mgz(args.mgz)
     mode, alphabet = _ingest_mode(args)
-    ram = _parse_ram(args.ram) if args.ram else None
-    config = {
-        "command": "estimate",
-        "backend": args.backend,
-        "ppm_exact": args.ppm_exact,
+    options = {
         "mode": mode,
         "alphabet": alphabet,
+        "backend": args.backend,
+        "ppm_exact": args.ppm_exact,
         "kt": args.kt,
         "mgz": args.mgz,
-        "ram": list(ram) if ram else None,
-        "files": args.files,
-        "seed": seed,
+        "ram": _parse_ram(args.ram) if args.ram else None,
     }
-    tasks = [
-        {
-            "path": path,
-            "mode": mode,
-            "alphabet": alphabet,
-            "backend": args.backend,
-            "ppm_exact": args.ppm_exact,
-            "kt": args.kt,
-            "mgz": args.mgz,
-            "ram": ram,
-        }
-        for path in args.files
-    ]
+    tasks = [{"path": path, **options} for path in args.files]
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             done = list(pool.map(_estimate_file, tasks))
     else:
         done = [_estimate_file(t) for t in tasks]
     results = [result for result, _ in done]
-    config["digests"] = [digest for _, digest in done]
+    # the hash reads the (M, alpha) tuple of --ram as a JSON list
+    config = {"command": "estimate", **options, "files": args.files, "seed": seed,
+              "digests": [digest for _, digest in done]}
     meta = _meta("estimate", seed, args.backend, config)
 
     if args.format == "json":
@@ -204,6 +191,11 @@ def _cmd_estimate(args) -> int:
             )
         _emit("\n".join(_meta_lines(meta) + _csv_table(header, rows)) + "\n", args.out)
     return 0
+
+
+def _check_mgz(value: float | None) -> None:
+    if value is not None and not 0 < value < math.inf:
+        raise ConfigError(f"--mgz must be finite and positive, got {value!r}")
 
 
 def _parse_ram(text: str):
@@ -323,8 +315,7 @@ def _cmd_simulate(args) -> int:
             f"--backends must name some of {', '.join(BACKENDS)}, got {args.backends!r}"
         )
     # the value enters config and config_hash whichever estimators run
-    if args.mgz is not None and not 0 < args.mgz < math.inf:
-        raise ConfigError(f"--mgz must be finite and positive, got {args.mgz!r}")
+    _check_mgz(args.mgz)
     config = ExperimentConfig(
         lengths=lengths,
         trials=args.trials,
@@ -426,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--mode", choices=["bytes", "tokens"], default="bytes")
     p.add_argument("--alphabet", default=None, help="JSON array of token strings (explicit mode)")
-    p.add_argument("--backend", choices=["ppm", "lz78"], default="ppm")
+    p.add_argument("--backend", choices=BACKENDS, default="ppm")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--kt", action="store_true", help="also report the KT order")
     p.add_argument("--mgz", type=float, default=None, metavar="LAMBDA")

@@ -334,6 +334,6 @@ def kraft_sum(code: CodeLengthFunction, n: int, D: int) -> float:
         raise BudgetError(f"enumeration of {D}^{n} strings exceeds the guard")
     alpha = uniform_alphabet(D)
     return math.fsum(
-        2.0 ** -code.evaluate(Sequence(np.array(ids, dtype=np.int64), alpha))
+        2.0 ** -code.evaluate(Sequence(ids, alpha))
         for ids in product(range(D), repeat=n)
     )

@@ -18,9 +18,10 @@ from .stats import EntropyProfile, build_index
 KT_TIE_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class OrderReport:
-    """An estimated order together with the evidence that produced it."""
+    """An estimated order together with the evidence that produced it; one
+    report per sequence and code object, shared by every caller."""
 
     n: int
     backend: str
@@ -53,21 +54,27 @@ def universal_markov_order(x: Sequence, code: CodeLengthFunction) -> OrderReport
 
     The scan is guaranteed to stop by the maximal repetition length plus one,
     where h_k vanishes while H stays positive. The empty sequence gets order 0
-    by convention.
+    by convention. The report is kept on the sequence's index per code object:
+    the entry holds the code, so its id names no other code while it lives.
     """
+    idx = build_index(x)
+    got = idx.orders.get(id(code))
+    if got is not None:
+        return got[1]
     n = len(x)
     H = float(code.evaluate(x))
-    if n == 0:
-        return OrderReport(n=0, backend=code.name, H_bits=H, estimate=0,
-                           profile=EntropyProfile(n=0, h=[], weighted=[], vocab=[]))
-    idx = build_index(x)
     k = 0
-    while (n - k) * idx.cond_entropy(k) > H:
+    while n and (n - k) * idx.cond_entropy(k) > H:
         k += 1
         if k >= n:
             raise AssertionError("order scan ran past every defined entropy")
-    return OrderReport(n=n, backend=code.name, H_bits=H, estimate=k,
-                       profile=idx.profile(k))
+    # the reports of one string that stop at one order share its profile
+    profile = next((r.profile for _, r in idx.orders.values() if r.estimate == k), None)
+    if profile is None:
+        profile = idx.profile(k) if n else EntropyProfile(n=0, h=[], weighted=[], vocab=[])
+    report = OrderReport(n=n, backend=code.name, H_bits=H, estimate=k, profile=profile)
+    idx.orders[id(code)] = (code, report)
+    return report
 
 
 def kt_order(x: Sequence) -> int:

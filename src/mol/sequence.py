@@ -56,13 +56,17 @@ class Sequence:
 
     Positions in the public API are 1-based inclusive (so ``slice(j, k)``
     returns x_j^k and ``slice(j, j-1)`` is the empty string); internal storage
-    is a 0-based numpy array.
+    is a 0-based read-only numpy array. A caller's array that is still
+    writable is copied, since the caller could change it under the index; a
+    read-only one is taken as is.
     """
 
     __slots__ = ("ids", "alphabet", "_index", "_hash")
 
     def __init__(self, ids, alphabet: Alphabet):
         arr = np.ascontiguousarray(ids, dtype=np.int64)
+        if arr.flags.writeable and isinstance(ids, np.ndarray) and np.may_share_memory(arr, ids):
+            arr = arr.copy()
         if arr.ndim != 1:
             raise ValueError("symbol ids must be one-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() >= alphabet.size):
@@ -151,6 +155,7 @@ def ingest(data, mode: str = "bytes", alphabet: Iterable | None = None) -> Seque
         rank = np.zeros(256, dtype=np.int64)
         rank[order] = np.arange(order.size)
         ids = rank[arr]
+        ids.setflags(write=False)  # fresh, so the Sequence takes it without a copy
         tokens = order.tolist()
         kind = "bytes"
     elif mode in ("tokens", "explicit"):
@@ -163,8 +168,7 @@ def ingest(data, mode: str = "bytes", alphabet: Iterable | None = None) -> Seque
             if not tokens:
                 raise AlphabetError("empty alphabet")
             alpha = Alphabet(tokens, kind=kind)
-            ids = [alpha.id_of(t) for t in stream]
-            return Sequence(np.array(ids, dtype=np.int64), alpha)
+            return Sequence([alpha.id_of(t) for t in stream], alpha)
         seen: dict = {}
         ids = []
         for t in stream:

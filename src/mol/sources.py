@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -192,12 +192,14 @@ class SourceModel:
             return Sequence(np.empty(0, dtype=np.int64), alpha)
         D = self.alphabet_size
         if self.order == 0:
-            out = rng.choice(D, size=n, p=self.transition[0])
-            return Sequence(out.astype(np.int64), alpha)
-        ctx = int(rng.choice(self.states, p=self.stationary))
-        cum = np.cumsum(self.transition, axis=1)
-        cum[:, -1] = 1.0
-        return Sequence(_chain_symbols(cum, D, ctx, self.stationary, rng.random(n)), alpha)
+            ids = rng.choice(D, size=n, p=self.transition[0]).astype(np.int64, copy=False)
+        else:
+            ctx = int(rng.choice(self.states, p=self.stationary))
+            cum = np.cumsum(self.transition, axis=1)
+            cum[:, -1] = 1.0
+            ids = _chain_symbols(cum, D, ctx, self.stationary, rng.random(n))
+        ids.setflags(write=False)  # no one else holds it, so the Sequence takes it as is
+        return Sequence(ids, alpha)
 
     # -- exact oracles -----------------------------------------------------
 
@@ -380,15 +382,9 @@ class ExperimentConfig:
     jobs: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "lengths": list(self.lengths),
-            "trials": self.trials,
-            "seed": self.seed,
-            "backends": list(self.backends),
-            "estimators": list(self.estimators),
-            "mgz_lambda": self.mgz_lambda,
-            "ppm_exact": self.ppm_exact,
-        }
+        """Every field but jobs, which changes no result; tuples as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "jobs"}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 class _TrialInvariantError(RuntimeError):

@@ -543,7 +543,7 @@ def _ppm_table(n, D, L, lo, columns: list) -> list:
     return [bits[a : a + k] for a, k in zip(first[col].tolist(), K[col].tolist())]
 
 
-@dataclass
+@dataclass(slots=True)
 class EntropyProfile:
     """Empirical conditional entropies h_k for k = 0..kmax of one string.
 
@@ -596,6 +596,7 @@ class FrequencyIndex:
         self._h_cache: dict[int, float] = {}
         self.lz78_bits: float | None = None  # set once by codes.lz78_code_length
         self.ppm_bits: float | None = None  # set once by codes.ppm_semidistribution_entropy
+        self.orders: dict = {}  # id(code) -> (code, OrderReport), by universal_markov_order
 
     # -- gram groups ---------------------------------------------------
 

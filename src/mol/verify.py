@@ -16,7 +16,6 @@ from itertools import product
 import numpy as np
 
 from .codes import (
-    CodeLengthFunction,
     Lz78Code,
     OffsetCode,
     PpmCode,
@@ -99,7 +98,9 @@ def naive_h_vocab_form(x: Sequence, k: int) -> float:
 
 
 class Workspace:
-    """Enumeration, random cases and code-length caches for one battery run."""
+    """The case lists of one battery run: the exhaustive universe, the random
+    strings and the drop cases. Code lengths and order reports stay on each
+    string's index, so every suite reads them there."""
 
     def __init__(self, budget: VerifyBudget):
         self.budget = budget
@@ -109,8 +110,6 @@ class Workspace:
         self._of_length: dict[int, list[Sequence]] = {}
         self._random: list[Sequence] | None = None
         self._drop: list | None = None
-        self._H: dict = {}
-        self._reports: dict = {}
 
     def of_length(self, n: int) -> list[Sequence]:
         """Every string of length n over the budget's alphabet, in product order.
@@ -123,8 +122,7 @@ class Workspace:
             D = self.budget.alphabet_size
             alpha = uniform_alphabet(D)
             got = self._of_length[n] = [
-                Sequence(np.array(ids, dtype=np.int64), alpha)
-                for ids in product(range(D), repeat=n)
+                Sequence(ids, alpha) for ids in product(range(D), repeat=n)
             ]
         return got
 
@@ -171,13 +169,11 @@ class Workspace:
                 n = int(round(math.exp(rng.uniform(math.log(8), math.log(b.random_max_n)))))
                 style = case % 3
                 if style == 0:
-                    ids = rng.integers(0, D, size=n)
-                    out.append(Sequence(ids.astype(np.int64), alphabet_cache[D]))
+                    out.append(Sequence(rng.integers(0, D, size=n), alphabet_cache[D]))
                 elif style == 1:
                     p = rng.dirichlet(np.ones(D))
                     p = 0.9 * p + 0.1 / D
-                    ids = rng.choice(D, size=n, p=p)
-                    out.append(Sequence(ids.astype(np.int64), alphabet_cache[D]))
+                    out.append(Sequence(rng.choice(D, size=n, p=p), alphabet_cache[D]))
                 else:
                     src = make_markov(D, 1, seed=int(rng.integers(1 << 30)),
                                       concentration=0.6)
@@ -206,22 +202,8 @@ class Workspace:
                     self._drop.append((x, k, idx.cond_entropy(k), h_next, h_tail))
         return self._drop
 
-    def code(self, name: str) -> CodeLengthFunction:
-        return self.ppm if name == "ppm" else self.lz78
-
-    def H(self, name: str, x: Sequence) -> float:
-        key = (name, x)
-        got = self._H.get(key)
-        if got is None:
-            got = self._H[key] = float(self.code(name).evaluate(x))
-        return got
-
     def order(self, name: str, x: Sequence):
-        key = (name, x)
-        got = self._reports.get(key)
-        if got is None:
-            got = self._reports[key] = universal_markov_order(x, self.code(name))
-        return got
+        return universal_markov_order(x, self.ppm if name == "ppm" else self.lz78)
 
 
 # -- suites ------------------------------------------------------------------
@@ -483,13 +465,15 @@ def suite_mi_vocab_bound(ws: Workspace):
         member = ws.piece(x, start, stop)
         return x.slice(start + 1, stop) if member is None else member
 
+    H = ws.ppm.evaluate
+
     def check(x: Sequence, splits):
         for nn in splits:
             try:
                 rhs = mi_bound_rhs(x, nn, ws.ppm)
             except SplitPreconditionError:
                 continue
-            I = ws.H("ppm", part(x, 0, nn)) + ws.H("ppm", part(x, nn, len(x))) - ws.H("ppm", x)
+            I = H(part(x, 0, nn)) + H(part(x, nn, len(x))) - H(x)
             ok = I <= rhs + EPS
             yield ok, lambda: f"MI bound split={nn} x={_label(x)}: I={I!r} > rhs={rhs!r}"
 
@@ -510,7 +494,7 @@ def suite_ppm_identities(ws: Workspace):
     for _ in range(60):
         D = int(rng.integers(2, ws.budget.random_max_alphabet + 1))
         n = int(rng.integers(2, 40))
-        x = Sequence(rng.integers(0, D, size=n).astype(np.int64), alphas[D])
+        x = Sequence(rng.integers(0, D, size=n), alphas[D])
         for k in (0, 1, 2, 5, 8):
             i = int(rng.integers(1, n + 1))
             total = 0.0

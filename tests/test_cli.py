@@ -320,6 +320,16 @@ def test_simulate_bad_mgz_fails_before_any_trial(capsys, monkeypatch, value, est
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_estimate_bad_mgz_fails_before_reading_any_file(capsys, monkeypatch, sample_file, value):
+    # the check and message of simulate, for a missing file and for a readable one
+    monkeypatch.setattr(mol.cli, "_estimate_file", lambda task: pytest.fail("file read"))
+    _, _, want = run_cli(capsys, "simulate", "--n", "10", "--trials", "1", f"--mgz={value}")
+    for path in ("missing.txt", sample_file):
+        code, out, err = run_cli(capsys, "estimate", f"--mgz={value}", path)
+        assert (code, out, err) == (3, "", want)
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--backend", "lz78", "--mgz", "nan"],
     ["simulate", "--order", "1", "--concentration", "0", "--n", "50", "--trials", "1"],

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mol import (
+    CodeLengthFunction,
     Lz78Code,
     OffsetCode,
     PpmCode,
@@ -75,6 +76,33 @@ def test_order_report_json_shape():
     assert set(d) == {"n", "backend", "H_bits", "order", "profile"}
     assert d["backend"] == "ppm"
     assert all(set(entry) == {"k", "h", "weighted"} for entry in d["profile"])
+
+
+class FlatCode(CodeLengthFunction):
+    """A constant code length; unhashable, like any class that defines __eq__ alone."""
+
+    name = "flat"
+    __hash__ = None
+
+    def __init__(self, bits: float):
+        self.bits = bits
+
+    def evaluate(self, x):
+        return self.bits
+
+
+def test_order_report_is_kept_on_the_index_per_code_object():
+    x = seq([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0])
+    report = universal_markov_order(x, PPM)
+    assert universal_markov_order(x, PPM) is report
+    assert universal_markov_order(x, PpmCode(exact=False)) is not report
+    # short-lived codes: each entry holds its code, so no later code can take its id
+    got = [universal_markov_order(x, FlatCode(bits)).estimate for bits in (1e9, 0.0, 1e9, 0.0)]
+    fresh = [universal_markov_order(seq(x.ids), FlatCode(bits)).estimate for bits in (1e9, 0.0)]
+    assert got == fresh * 2 and fresh[0] == 0 < fresh[1]
+    first, second = (universal_markov_order(x, FlatCode(1e9)) for _ in range(2))
+    assert first is not second and first.profile is second.profile  # one order, one profile
+    assert len(build_index(x).orders) == 8
 
 
 # -- Krichevsky-Trofimov order --------------------------------------------------

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mol import Alphabet, AlphabetError, Sequence, ingest, uniform_alphabet
+from mol import (
+    Alphabet,
+    AlphabetError,
+    Sequence,
+    build_index,
+    fair_coin,
+    ingest,
+    sticky_chain,
+    uniform_alphabet,
+)
 
 from oracles import ingest_bytes_oracle
 
@@ -146,3 +155,34 @@ def test_slice_composition(ids, data):
     k2 = data.draw(st.integers(j2 - 1, m))
     direct = x.slice(j + j2 - 1, j + k2 - 1)
     assert inner.slice(j2, k2) == direct
+
+
+def test_a_writable_caller_array_is_copied_and_a_frozen_one_taken_as_is():
+    alpha = uniform_alphabet(2)
+    base = np.array([1, 1, 0, 0, 0, 0, 0, 0, 0, 0], dtype=np.int64)
+    x = Sequence(base[2:], alpha)
+    assert build_index(x).cond_entropy(1) == 0.0
+    base[5] = 1  # the caller keeps its array, and writing it changes nothing of x
+    assert base.flags.writeable
+    assert x.ids.tolist() == [0] * 8 and not x.ids.flags.writeable
+    assert build_index(x).cond_entropy(1) == 0.0
+    Sequence(base, alpha)
+    assert base.flags.writeable  # not frozen under the caller either
+    frozen = base[2:]
+    frozen.setflags(write=False)
+    assert Sequence(frozen, alpha).ids is frozen
+
+
+def test_ingest_and_sample_hand_their_fresh_arrays_over_without_a_copy(monkeypatch):
+    handed = []
+    init = Sequence.__init__
+
+    def spy(self, ids, alphabet):
+        init(self, ids, alphabet)
+        handed.append(self.ids is ids)
+
+    monkeypatch.setattr(Sequence, "__init__", spy)
+    ingest(b"abracadabra")
+    fair_coin().sample(100, seed=1)  # i.i.d.
+    sticky_chain(0.9).sample(100, seed=1)  # a context chain
+    assert handed == [True, True, True]

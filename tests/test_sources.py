@@ -111,6 +111,20 @@ def test_rows_whose_gamma_draws_all_underflow_take_one_symbol():
     assert sorted(np.unique(one_hot.round(12))) == [0.001, 0.998]
 
 
+def test_stationary_law_past_2048_contexts_by_power_iteration():
+    # 2^12 contexts: the law comes from iterating the chain, not a dense solve
+    src = make_markov(2, 12, seed=1)
+    pi = src.stationary
+    assert src.states == 4096 and pi.min() > 0
+    assert abs(pi.sum() - 1.0) <= 1e-12
+    # context c moves on symbol a to (2c + a) mod 4096, the flat index c·2 + a mod 4096
+    flow = (pi[:, None] * src.transition).ravel()
+    stepped = np.bincount(np.arange(flow.size) % src.states, weights=flow)
+    assert np.abs(stepped - pi).max() <= 1e-12
+    assert src.cond_entropy(12) == src.entropy_rate()
+    assert len(src.sample(10**4, seed=3)) == 10**4
+
+
 def test_state_guard():
     with pytest.raises(BudgetError):
         make_markov(2, 25, seed=1)
@@ -239,6 +253,18 @@ def _tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def test_config_dict_holds_every_field_but_jobs_with_tuples_as_lists():
+    assert _tiny_config(jobs=3).to_dict() == {
+        "lengths": [200, 400],
+        "trials": 4,
+        "seed": 77,
+        "backends": ["ppm", "lz78"],
+        "estimators": ["universal", "kt", "mgz"],
+        "mgz_lambda": 0.1,
+        "ppm_exact": True,
+    }
 
 
 def test_experiment_is_deterministic_and_parallel_safe():

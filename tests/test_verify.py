@@ -4,7 +4,8 @@ import numpy as np
 
 import mol.verify
 from mol import Sequence, build_index, stats, uniform_alphabet
-from mol.codes import kraft_sum
+from mol.codes import Lz78Code, PpmCode, kraft_sum
+from mol.mi import SplitPreconditionError, mi_bound_rhs
 from mol.stats import FrequencyIndex
 from mol.verify import VerifyBudget, Workspace, _label, _superadditivity_value, run_suites, suite_kraft
 
@@ -139,3 +140,24 @@ def test_universe_and_random_strings_take_one_ppm_pass_each(monkeypatch):
     results = run_suites(["ppm-closed-form", "order-le-maxrep"], SMALL)
     assert all(r.passed and r.cases for r in results)
     assert len(calls) <= 2
+
+
+def test_order_and_mi_bound_scan_once_per_string_and_code(monkeypatch):
+    # the reports live on the index; the workspace keeps only its case lists.
+    # Each scan evaluates its code once.
+    scans = []
+    for cls in (PpmCode, Lz78Code):
+        monkeypatch.setattr(cls, "evaluate",
+                            lambda self, x, f=cls.evaluate: scans.append(self.name) or f(self, x))
+    ws = Workspace(UNIVERSE_ONLY)
+    x = ws.of_length(7)[0b0110100]
+    bounds = 0
+    for name in ("ppm", "lz78", "ppm"):
+        ws.order(name, x)
+        for nn in range(1, len(x)):
+            try:
+                bounds += mi_bound_rhs(x, nn, ws.ppm) > 0
+            except SplitPreconditionError:
+                pass
+    assert bounds and scans == ["ppm", "lz78"]
+    assert set(vars(ws)) == {"budget", "ppm", "lz78", "_exhaustive", "_of_length", "_random", "_drop"}
