@@ -32,6 +32,15 @@ def exceeds_enum_guard(D: int, n: int) -> bool:
     return D ** min(n, KRAFT_ENUM_GUARD.bit_length()) > KRAFT_ENUM_GUARD
 
 
+def enumerate_strings(D: int, n: int):
+    """Every string of length n over D >= 2 symbols, in product order; raises
+    BudgetError before building any when they exceed KRAFT_ENUM_GUARD."""
+    if exceeds_enum_guard(D, n):
+        raise BudgetError(f"enumeration of {D}^{n} strings exceeds the guard")
+    alpha = uniform_alphabet(D)
+    return (Sequence(ids, alpha) for ids in product(range(D), repeat=n))
+
+
 def _lg_factorial(m) -> np.ndarray:
     """log2(m!) via the log-Gamma function; accepts arrays."""
     m = np.asarray(m)
@@ -91,14 +100,11 @@ def ppm_log_measure(x: Sequence, k: int) -> float:
     """-log2 PPM_k(x_1^n) in bits, from the index's table of every order."""
     if k < 0:
         raise ValueError("order must be >= 0")
-    n = len(x)
-    if n == 0:
-        return 0.0
     head = build_index(x).ppm_code_lengths()
     if k < head.size:
         return float(head[k])
     # beyond min(L, n-2) every order assigns the uniform measure
-    return n * math.log2(x.alphabet.size)
+    return len(x) * math.log2(x.alphabet.size)
 
 
 def ppm_log_measure_closed(x: Sequence, k: int) -> float:
@@ -249,11 +255,8 @@ def ppm_bound_gap(x: Sequence, k: int) -> float:
     D = x.alphabet.size
     idx = build_index(x)
     h_k = idx.cond_entropy(k)
-    ids_k = idx.gram_ids(k)
-    m = n - k
-    vocab_prefix = int(np.count_nonzero(np.bincount(ids_k[:m])))
     bits = ppm_log_measure(x, k)
-    return (bits - k * math.log2(D) - (n - k) * h_k) / (D * vocab_prefix)
+    return (bits - k * math.log2(D) - (n - k) * h_k) / (D * idx.prefix_vocab_size(k))
 
 
 class CodeLengthFunction:
@@ -330,10 +333,4 @@ def kraft_sum(code: CodeLengthFunction, n: int, D: int) -> float:
     """sum over all x in X^n of 2^-H(x), by full enumeration (guarded)."""
     if n < 0 or D < 2:
         raise ValueError("need n >= 0 and D >= 2")
-    if exceeds_enum_guard(D, n):
-        raise BudgetError(f"enumeration of {D}^{n} strings exceeds the guard")
-    alpha = uniform_alphabet(D)
-    return math.fsum(
-        2.0 ** -code.evaluate(Sequence(ids, alpha))
-        for ids in product(range(D), repeat=n)
-    )
+    return math.fsum(2.0 ** -code.evaluate(x) for x in enumerate_strings(D, n))

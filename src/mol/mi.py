@@ -12,7 +12,6 @@ import numpy as np
 from .codes import LOG2E, LOG2_PI2_OVER_6, CodeLengthFunction, PpmCode
 from .orders import universal_markov_order
 from .sequence import Sequence
-from .stats import build_index
 
 
 class SplitPreconditionError(ValueError):
@@ -72,7 +71,7 @@ def mi_bound_rhs(x: Sequence, split: int, code: PpmCode) -> float:
     if M >= m - split:
         raise SplitPreconditionError(f"universal order {M} >= right length {m - split}")
     D = x.alphabet.size
-    vocab = build_index(x).vocab_size(M)
+    vocab = report.profile.vocab[M]
     inner = D * vocab + m * math.log2(D) / report.H_bits + 2.0 * LOG2_PI2_OVER_6 + 4.0
     return 2.0 * inner * (2.0 * LOG2E + math.log2(m))
 
@@ -83,13 +82,12 @@ def mi_report(x: Sequence, split: int, code: PpmCode) -> MiReport:
     I = pointwise_mi(x, split, code)
     report = universal_markov_order(x, code)
     M = report.estimate
-    vocab = build_index(x).vocab_size(M)
     try:
         rhs = mi_bound_rhs(x, split, code)
         ok = I <= rhs + 1e-9
     except SplitPreconditionError:
         rhs, ok = None, None
-    return MiReport(n=split, m=m, I_bits=I, order=M, vocab=vocab,
+    return MiReport(n=split, m=m, I_bits=I, order=M, vocab=report.profile.vocab[M],
                     bound_rhs=rhs, bound_ok=ok)
 
 
@@ -124,7 +122,7 @@ def expected_mi_check(source, n: int, trials: int, seed: int,
         x = source.sample(2 * n, seed=np.random.SeedSequence((seed, t)))
         lhs_samples.append(pointwise_mi(x, n, code))
         report = universal_markov_order(x, code)
-        vocab = build_index(x).vocab_size(report.estimate)
+        vocab = report.profile.vocab[report.estimate]
         rhs_samples.append(
             D * vocab + 4.0 * n * log_d / report.H_bits + 4.0 * LOG2_PI2_OVER_6 + 6.0
         )

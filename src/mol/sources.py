@@ -430,6 +430,8 @@ def consistency_experiment(src: SourceModel, config: ExperimentConfig) -> dict:
     """
     if config.trials < 1:
         raise ValueError("need at least one trial")
+    if any(n < 1 for n in config.lengths):
+        raise ValueError(f"lengths must be >= 1, got {config.lengths!r}")
     kmax = src.order + 2
     report = {
         "meta": {

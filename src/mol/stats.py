@@ -588,9 +588,11 @@ class FrequencyIndex:
         self.seq = seq
         self.n = len(seq)
         self._x = seq.ids
-        self._gids: dict[int, np.ndarray] = {}
-        self._gcounts: dict[int, np.ndarray] = {}
+        # gram length 0: one id for every start, a read-only view of a single zero
+        self._gids = {0: np.ndarray((self.n + 1,), dtype=np.int32, buffer=_ZERO, strides=(0,))}
+        self._gcounts = {0: np.array([self.n + 1], dtype=_narrow(self.n + 1))}
         self._vocab = (1,)  # the vocabulary size of each gram length refined, kept past _prune
+        self._final_repeats = 0  # the longest length refined whose final gram repeats
         self._maxrep = None  # set with _ppm by the PPM pass
         self._ppm = np.empty(0) if self.n < 2 else None
         self._h_cache: dict[int, float] = {}
@@ -611,18 +613,13 @@ class FrequencyIndex:
             raise ValueError(f"gram length {k} out of range for n={self.n}")
         got = self._gids.get(k)
         if got is None:
-            base = max((j for j in self._gids if j < k), default=None)
-            if base is None:
-                # one id for every start: a read-only view of a single zero
-                ids = np.ndarray((self.n + 1,), dtype=np.int32, buffer=_ZERO, strides=(0,))
-                cnt = np.array([self.n + 1], dtype=_narrow(self.n + 1))
-                self._gids[0], self._gcounts[0] = ids, cnt
-                base = 0
-            for length in range(base + 1, k + 1):
+            for length in range(max(j for j in self._gids if j < k) + 1, k + 1):
                 ids, cnt = self._refine(self._gids[length - 1], length)
                 self._gids[length], self._gcounts[length] = ids, cnt
                 if length == len(self._vocab):
                     self._vocab += (int(cnt.size),)  # a tuple is the smallest record
+                    if cnt[ids[-1]] > 1:
+                        self._final_repeats = length
                 self._prune(length)
             got = self._gids[k]
         return got
@@ -659,9 +656,19 @@ class FrequencyIndex:
             raise ValueError("order must be >= 0")
         if k > self.n:
             return 0
-        if k >= len(self._vocab):
+        top = len(self._vocab) - 1  # the longest gram length refined
+        if k > top:
+            if self._vocab[top] == self.n - top + 1:
+                return self.n - k + 1  # the top-grams are all distinct, so the k-grams are too
             self.gram_ids(k)
         return self._vocab[k]
+
+    def prefix_vocab_size(self, k: int) -> int:
+        """|V_k(x_1^{n-1})|, the distinct k-grams that some symbol follows, for
+        0 <= k < n: vocab_size(k), less the final k-gram when it occurs only there."""
+        if not 0 <= k < self.n:
+            raise ValueError(f"prefix vocabulary needs 0 <= k < n, got k={k}, n={self.n}")
+        return self.vocab_size(k) - (k > self._final_repeats)
 
     def max_repetition(self) -> int:
         """Largest k such that some length-k substring occurs at least twice,

@@ -11,7 +11,6 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .codes import (
     Lz78Code,
     OffsetCode,
     PpmCode,
+    enumerate_strings,
     kraft_sum,
     ppm_bound_gap,
     ppm_cond,
@@ -107,30 +107,28 @@ class Workspace:
         self.ppm = PpmCode(exact=True)
         self.lz78 = Lz78Code()
         self._exhaustive: list[Sequence] | None = None
-        self._of_length: dict[int, list[Sequence]] = {}
+        self._of_length: dict[int, dict[bytes, Sequence]] = {}
         self._random: list[Sequence] | None = None
         self._drop: list | None = None
 
-    def of_length(self, n: int) -> list[Sequence]:
-        """Every string of length n over the budget's alphabet, in product order.
+    def of_length(self, n: int) -> dict[bytes, Sequence]:
+        """Every string of length n over the budget's alphabet, keyed by its
+        ids.tobytes(), in product order.
 
         The same objects make up exhaustive(), so code lengths cached on them by
         one suite serve the next.
         """
         got = self._of_length.get(n)
         if got is None:
-            D = self.budget.alphabet_size
-            alpha = uniform_alphabet(D)
-            got = self._of_length[n] = [
-                Sequence(ids, alpha) for ids in product(range(D), repeat=n)
-            ]
+            strings = enumerate_strings(self.budget.alphabet_size, n)
+            got = self._of_length[n] = {x.ids.tobytes(): x for x in strings}
         return got
 
     def exhaustive(self) -> list[Sequence]:
         if self._exhaustive is None:
-            self._exhaustive = [
-                x for n in range(1, self.budget.exhaustive_max_n + 1) for x in self.of_length(n)
-            ]
+            top = self.budget.exhaustive_max_n
+            self.of_length(top)  # the longest first: past the guard, no string is built
+            self._exhaustive = [x for n in range(1, top + 1) for x in self.of_length(n).values()]
             ppm_pass(self._exhaustive)  # L and the PPM code lengths of all, in one pass
         return self._exhaustive
 
@@ -142,10 +140,7 @@ class Workspace:
         D = self.budget.alphabet_size
         if stop - start > self.budget.exhaustive_max_n or x.alphabet.size != D:
             return None
-        code = 0  # the piece's ids read in base D: its place in product order
-        for v in x.ids[start:stop].tolist():
-            code = code * D + v
-        return self.of_length(stop - start)[code]
+        return self.of_length(stop - start)[x.ids[start:stop].tobytes()]
 
     def window_h(self, x: Sequence, k: int, start: int, stop: int) -> float:
         """h_k(x[start:stop]): the universe member's own h_k where there is one.
@@ -438,7 +433,7 @@ def suite_kraft(ws: Workspace, codes=None):
     for code in codes:
         for n in range(1, b.kraft_max_n + 1):
             if n <= b.exhaustive_max_n:
-                total = math.fsum(2.0 ** -code.evaluate(x) for x in ws.of_length(n))
+                total = math.fsum(2.0 ** -code.evaluate(x) for x in ws.of_length(n).values())
             else:
                 total = kraft_sum(code, n, b.alphabet_size)
             yield total <= 1.0 + EPS, lambda: f"{code.name}: Kraft sum {total!r} > 1 at n={n}"

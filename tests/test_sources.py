@@ -267,6 +267,13 @@ def test_config_dict_holds_every_field_but_jobs_with_tuples_as_lists():
     }
 
 
+@pytest.mark.parametrize("lengths", [(0,), (200, 0), (-3,)])
+def test_experiment_rejects_lengths_below_one(monkeypatch, lengths):
+    monkeypatch.setattr("mol.sources._run_trial", lambda args: pytest.fail("trial ran"))
+    with pytest.raises(ValueError, match="lengths must be >= 1"):
+        consistency_experiment(sticky_chain(0.9), _tiny_config(lengths=lengths))
+
+
 def test_experiment_is_deterministic_and_parallel_safe():
     src = sticky_chain(0.9)
     one = consistency_experiment(src, _tiny_config())

@@ -269,6 +269,29 @@ def test_vocab_matches_oracle(ids):
         assert idx.vocab_size(k) == vocab_oracle(ids, k)
 
 
+@pytest.mark.parametrize("D, ids", [
+    (2, np.random.default_rng(8).integers(0, 2, 150).tolist()),
+    (4, np.random.default_rng(9).integers(0, 4, 90).tolist()),
+    (2, _periodic_with_a_flip(5, 120, 3)),
+    (3, [0, 1, 2] * 40),
+    (2, [1] * 60),
+    (2, [0, 1]),
+])
+def test_prefix_vocab_counts_the_contexts_of_x_1_to_n_minus_1(D, ids):
+    # |V_k(x_1^{n-1})| counts x[i : i+k] over 0 <= i < n-k; k is asked in random
+    # order, so some queries land past lengths already refined and pruned
+    n = len(ids)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        idx = stats.FrequencyIndex(seq(ids, D))
+        for k in rng.permutation(n).tolist():
+            assert idx.prefix_vocab_size(k) == vocab_oracle(ids[:-1], k)
+            assert idx.vocab_size(k) == vocab_oracle(ids, k)
+    for k in (-1, n):
+        with pytest.raises(ValueError):
+            idx.prefix_vocab_size(k)
+
+
 def test_maxrep_examples():
     assert build_index(ingest(b"abab")).max_repetition() == 2
     assert build_index(ingest(b"aaaa")).max_repetition() == 3

@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 
+import mol.codes
 import mol.verify
 from mol import Sequence, build_index, stats, uniform_alphabet
-from mol.codes import Lz78Code, PpmCode, kraft_sum
+from mol.codes import BudgetError, Lz78Code, PpmCode, kraft_sum
 from mol.mi import SplitPreconditionError, mi_bound_rhs
 from mol.stats import FrequencyIndex
 from mol.verify import VerifyBudget, Workspace, _label, _superadditivity_value, run_suites, suite_kraft
@@ -41,6 +43,27 @@ def test_window_entropy_suites_at_small_budget():
         assert result.cases == cases[result.name]
 
 
+def test_gap_suite_after_the_drop_cases_refines_no_gram_length(monkeypatch):
+    ws = Workspace(SMALL)
+    ws.drop_cases()
+    refined = []
+    refine = FrequencyIndex._refine
+    monkeypatch.setattr(FrequencyIndex, "_refine",
+                        lambda self, prev, length: refined.append(length) or refine(self, prev, length))
+    result = mol.verify.SUITES["ppm-gap-sandwich"](ws)
+    assert result.passed and result.cases == 1474
+    assert refined == []
+
+
+def test_universe_past_the_enumeration_guard_raises_before_building_a_string(monkeypatch):
+    monkeypatch.setattr(mol.codes, "Sequence", lambda *a: pytest.fail("built a string"))
+    with pytest.raises(BudgetError, match="16\\^10"):
+        run_suites(["h-forms"], VerifyBudget(alphabet_size=16))
+    x = Sequence(np.zeros(17, dtype=np.int64), uniform_alphabet(2))
+    with pytest.raises(BudgetError, match="2\\^17"):
+        Workspace(VerifyBudget(exhaustive_max_n=17)).piece(x, 0, 17)
+
+
 def test_kraft_sums_the_universe_and_enumerates_beyond_it(monkeypatch):
     # SMALL's universe stops at n = 7 and its Kraft sums run to n = 10
     ws = Workspace(SMALL)
@@ -50,10 +73,11 @@ def test_kraft_sums_the_universe_and_enumerates_beyond_it(monkeypatch):
     assert suite_kraft(ws).passed
     assert enumerated == [8, 9, 10] * 2
     # the same objects, so the code lengths cached by earlier suites are read
-    assert list(map(id, ws.exhaustive())) == [id(x) for n in range(1, 8) for x in ws.of_length(n)]
+    strings = [x for n in range(1, 8) for x in ws.of_length(n).values()]
+    assert list(map(id, ws.exhaustive())) == list(map(id, strings))
     for code in (ws.ppm, ws.lz78):
         for n in range(1, 8):
-            universe = math.fsum(2.0 ** -code.evaluate(x) for x in ws.of_length(n))
+            universe = math.fsum(2.0 ** -code.evaluate(x) for x in ws.of_length(n).values())
             assert universe == kraft_sum(code, n, 2)
 
 
@@ -99,7 +123,7 @@ def test_every_piece_of_a_universe_string_is_a_universe_string():
             for stop in range(start + 1, n + 1):
                 code = int("".join(map(str, x.ids[start:stop].tolist())), 2)
                 member = ws.piece(x, start, stop)
-                assert member is ws.of_length(stop - start)[code]
+                assert member is list(ws.of_length(stop - start).values())[code]
                 for k in range(stop - start):
                     got = build_index(member).cond_entropy(k)
                     want = build_index(x).window_cond_entropy(k, start, stop)
@@ -110,7 +134,7 @@ def test_pieces_outside_the_universe_resolve_to_none():
     ws = Workspace(UNIVERSE_ONLY)
     x = Sequence(np.array([0, 1, 1, 0, 1, 0, 0, 1, 1], dtype=np.int64), uniform_alphabet(2))
     assert ws.piece(x, 0, 8) is None and ws.piece(x, 0, 9) is None
-    assert ws.piece(x, 1, 8) is ws.of_length(7)[0b1101001]
+    assert ws.piece(x, 1, 8) is list(ws.of_length(7).values())[0b1101001]
     ternary = Sequence(np.array([0, 1, 2, 0], dtype=np.int64), uniform_alphabet(3))
     assert ws.piece(ternary, 0, 2) is None
     assert ws.piece(ternary, 3, 4) is None
@@ -150,7 +174,7 @@ def test_order_and_mi_bound_scan_once_per_string_and_code(monkeypatch):
         monkeypatch.setattr(cls, "evaluate",
                             lambda self, x, f=cls.evaluate: scans.append(self.name) or f(self, x))
     ws = Workspace(UNIVERSE_ONLY)
-    x = ws.of_length(7)[0b0110100]
+    x = list(ws.of_length(7).values())[0b0110100]
     bounds = 0
     for name in ("ppm", "lz78", "ppm"):
         ws.order(name, x)
