@@ -18,6 +18,7 @@ from .stats import build_index
 
 LOG2E = 1.0 / math.log(2.0)
 LOG2_PI2_OVER_6 = math.log2(math.pi**2 / 6.0)
+_LG_TABLE = np.empty(0)  # math.lgamma(v + 1) * LOG2E at v, grown by _lg_factorial
 
 KRAFT_ENUM_GUARD = 1 << 16
 
@@ -42,9 +43,17 @@ def enumerate_strings(D: int, n: int):
 
 
 def _lg_factorial(m) -> np.ndarray:
-    """log2(m!) via the log-Gamma function; accepts arrays."""
+    """log2(m!) for m >= 0, read from a table grown on demand by doubling; accepts arrays."""
+    global _LG_TABLE
     m = np.asarray(m)
-    return np.array([math.lgamma(v + 1) * LOG2E for v in m.ravel().tolist()]).reshape(m.shape)
+    if m.min() < 0:  # the table would wrap round
+        raise ValueError("log-factorial of a negative number")
+    try:
+        return _LG_TABLE.take(m)
+    except IndexError:
+        top = max(int(m.max()) + 1, 2 * _LG_TABLE.size)
+        _LG_TABLE = np.fromiter((math.lgamma(v + 1) * LOG2E for v in range(top)), float, top)
+        return _LG_TABLE.take(m)
 
 
 def _zeta2_tail(m: int) -> float:
@@ -119,13 +128,12 @@ def ppm_log_measure_closed(x: Sequence, k: int) -> float:
     D = x.alphabet.size
     idx = build_index(x)
     ids_k = idx.gram_ids(k)
-    idx.gram_ids(k + 1)
     m = n - k
     ext_counts = idx.gram_counts(k + 1)
     ctx_succ = np.bincount(ids_k[:m])
     ctx_succ = ctx_succ[ctx_succ > 0]
     bits = k * math.log2(D) - (
-        ctx_succ.size * float(_lg_factorial(D - 1))
+        ctx_succ.size * (math.lgamma(D) * LOG2E)  # log2 (D-1)!
         + float(_lg_factorial(ext_counts).sum())
         - float(_lg_factorial(ctx_succ + D - 1).sum())
     )

@@ -73,22 +73,25 @@ def _label(x: Sequence) -> str:
 # -- naive oracles (independent of the indexed fast paths) -------------------
 
 
-def naive_h_position_form(x: Sequence, k: int) -> float:
+def naive_h_counts(x: Sequence, k: int) -> tuple[Counter, Counter]:
+    """The k-grams followed by a symbol and the (k+1)-grams of x, counted by tuple."""
+    ids = x.ids.tolist()
+    return tuple(Counter(tuple(ids[i : i + j]) for i in range(len(ids) - k)) for j in (k, k + 1))
+
+
+def naive_h_position_form(x: Sequence, k: int, counts=None) -> float:
     ids = x.ids.tolist()
     n = len(ids)
-    ctx = Counter(tuple(ids[i : i + k]) for i in range(n - k))
-    ext = Counter(tuple(ids[i : i + k + 1]) for i in range(n - k))
+    ctx, ext = counts or naive_h_counts(x, k)
     total = 0.0
     for i in range(k, n):
         total += math.log2(ctx[tuple(ids[i - k : i])] / ext[tuple(ids[i - k : i + 1])])
     return total / (n - k)
 
 
-def naive_h_vocab_form(x: Sequence, k: int) -> float:
-    ids = x.ids.tolist()
-    n = len(ids)
-    ctx = Counter(tuple(ids[i : i + k]) for i in range(n - k))
-    ext = Counter(tuple(ids[i : i + k + 1]) for i in range(n - k))
+def naive_h_vocab_form(x: Sequence, k: int, counts=None) -> float:
+    n = len(x)
+    ctx, ext = counts or naive_h_counts(x, k)
     return math.fsum(
         c / (n - k) * math.log2(ctx[w[:-1]] / c) for w, c in ext.items()
     )
@@ -235,8 +238,9 @@ def suite_h_forms(ws: Workspace):
         idx = build_index(x)
         for k in range(len(x)):
             lib = idx.cond_entropy(k)
-            pos = naive_h_position_form(x, k)
-            voc = naive_h_vocab_form(x, k)
+            counts = naive_h_counts(x, k)
+            pos = naive_h_position_form(x, k, counts)
+            voc = naive_h_vocab_form(x, k, counts)
             ok = abs(lib - pos) <= FORM_TOL and abs(lib - voc) <= FORM_TOL
             yield ok, lambda: f"h_{k}({_label(x)}): index={lib!r} position={pos!r} vocab={voc!r}"
     for x in ws.random():
@@ -463,12 +467,15 @@ def suite_mi_vocab_bound(ws: Workspace):
     H = ws.ppm.evaluate
 
     def check(x: Sequence, splits):
+        cases = []
         for nn in splits:
             try:
-                rhs = mi_bound_rhs(x, nn, ws.ppm)
+                cases.append((nn, mi_bound_rhs(x, nn, ws.ppm), part(x, 0, nn), part(x, nn, len(x))))
             except SplitPreconditionError:
                 continue
-            I = H(part(x, 0, nn)) + H(part(x, nn, len(x))) - H(x)
+        ppm_pass([p for case in cases for p in case[2:]])  # the slices of x in one pass
+        for nn, rhs, left, right in cases:
+            I = H(left) + H(right) - H(x)
             ok = I <= rhs + EPS
             yield ok, lambda: f"MI bound split={nn} x={_label(x)}: I={I!r} > rhs={rhs!r}"
 
@@ -486,12 +493,15 @@ def suite_ppm_identities(ws: Workspace):
     PPM_k(x) = D^-n for k > n-2 and for any k above the maximal repetition."""
     rng = np.random.default_rng(ws.budget.random_seed + 3)
     alphas = {d: uniform_alphabet(d) for d in range(2, ws.budget.random_max_alphabet + 1)}
+    cases = []
     for _ in range(60):
         D = int(rng.integers(2, ws.budget.random_max_alphabet + 1))
         n = int(rng.integers(2, 40))
         x = Sequence(rng.integers(0, D, size=n), alphas[D])
-        for k in (0, 1, 2, 5, 8):
-            i = int(rng.integers(1, n + 1))
+        cases.append((x, n, D, [(k, int(rng.integers(1, n + 1))) for k in (0, 1, 2, 5, 8)]))
+    ppm_pass([case[0] for case in cases])  # L and the PPM code lengths of all 60, in one pass
+    for x, n, D, draws in cases:
+        for k, i in draws:
             total = 0.0
             for a in range(D):
                 ids = x.ids.copy()

@@ -161,6 +161,23 @@ def test_lg_factorial_matches_a_sum_of_logs():
         assert math.isclose(value, math.fsum(logs[: m + 1]), rel_tol=1e-13)
 
 
+def test_lg_factorial_table_grows_on_demand_with_the_lgamma_values(monkeypatch):
+    monkeypatch.setattr(mol.codes, "_LG_TABLE", np.empty(0))
+    sizes = []
+    for m in (600, 3, np.array(17), 650, 2000):
+        got = _lg_factorial(m)
+        assert float(got).hex() == (math.lgamma(int(m) + 1) * mol.codes.LOG2E).hex()
+        sizes.append(mol.codes._LG_TABLE.size)
+    # grown to the request, then at least doubled; a smaller request reads the table as is
+    assert sizes == [601, 601, 601, 1202, 2404]
+    want = [(math.lgamma(v + 1) * mol.codes.LOG2E).hex() for v in range(2404)]
+    assert [v.hex() for v in _lg_factorial(np.arange(2404)).tolist()] == want
+    # a negative count raises, as math.lgamma does at its pole, instead of wrapping round the table
+    for bad in (-1, np.array([3, -2]), -2001):
+        with pytest.raises(ValueError):
+            _lg_factorial(bad)
+
+
 def _zeta2_tail_bounds(m: int):
     """sum_{j > m} 1/j^2 from below and above: the terms up to N directly, and
     1/(N + 1/2) - 1/(12 N^3) < sum_{j > N} 1/j^2 < 1/(N + 1/2) by the midpoint rule."""

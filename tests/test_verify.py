@@ -6,10 +6,20 @@ import pytest
 import mol.codes
 import mol.verify
 from mol import Sequence, build_index, stats, uniform_alphabet
-from mol.codes import BudgetError, Lz78Code, PpmCode, kraft_sum
+from mol.codes import BudgetError, Lz78Code, PpmCode, kraft_sum, ppm_cond
 from mol.mi import SplitPreconditionError, mi_bound_rhs
 from mol.stats import FrequencyIndex
-from mol.verify import VerifyBudget, Workspace, _label, _superadditivity_value, run_suites, suite_kraft
+from mol.verify import (
+    VerifyBudget,
+    Workspace,
+    _label,
+    _superadditivity_value,
+    naive_h_counts,
+    naive_h_position_form,
+    naive_h_vocab_form,
+    run_suites,
+    suite_kraft,
+)
 
 from oracles import all_strings
 
@@ -164,6 +174,55 @@ def test_universe_and_random_strings_take_one_ppm_pass_each(monkeypatch):
     results = run_suites(["ppm-closed-form", "order-le-maxrep"], SMALL)
     assert all(r.passed and r.cases for r in results)
     assert len(calls) <= 2
+
+
+def test_mi_and_identity_suites_fill_their_strings_by_one_pass_per_batch(monkeypatch):
+    # the MI suite fills the slices of each random string by one pass, and the
+    # identity suite its 60 strings by one, not one pass per slice or string
+    calls = []
+    suffix_array = stats._suffix_array
+    monkeypatch.setattr(stats, "_suffix_array", lambda *a: calls.append(1) or suffix_array(*a))
+    results = run_suites(["mi-vocab-bound", "ppm-identities"], SMALL)
+    assert all(r.passed and r.cases for r in results)
+    visited = min(SMALL.random_cases, mol.verify.MI_RANDOM_CASES)
+    assert len(calls) <= 2 + visited + 1
+
+
+def test_naive_forms_on_shared_counts_equal_the_forms_alone():
+    rng = np.random.default_rng(7)
+    strings = [x for n in range(1, 9) for x in all_strings(2, n)]
+    strings += [Sequence(rng.integers(0, D, size=n), uniform_alphabet(D))
+                for D, n in ((2, 50), (3, 37), (4, 64), (5, 20))]
+    for x in strings:
+        for k in range(len(x)):
+            counts = naive_h_counts(x, k)
+            pos, voc = naive_h_position_form(x, k, counts), naive_h_vocab_form(x, k, counts)
+            assert pos.hex() == naive_h_position_form(x, k).hex()
+            assert voc.hex() == naive_h_vocab_form(x, k).hex()
+        assert x._index is None  # the oracles build no FrequencyIndex
+
+
+def test_identity_suite_draws_its_cases_in_the_order_of_one_loop(monkeypatch):
+    # the strings are drawn first and filled by one pass; the draws keep the order
+    # of a loop that draws D, n and the ids of a string, then one position per order
+    seen = []
+    monkeypatch.setattr(mol.verify, "ppm_cond",
+                        lambda x, i, k: seen.append((x.ids.tolist(), k, i)) or ppm_cond(x, i, k))
+    (result,) = run_suites(["ppm-identities"], SMALL)
+    assert result.passed and result.cases == 540
+    rng = np.random.default_rng(SMALL.random_seed + 3)
+    want = []
+    for _ in range(60):
+        D = int(rng.integers(2, SMALL.random_max_alphabet + 1))
+        n = int(rng.integers(2, 40))
+        ids = rng.integers(0, D, size=n)
+        for k in (0, 1, 2, 5, 8):
+            i = int(rng.integers(1, n + 1))
+            for a in range(D):
+                changed = ids.copy()
+                changed[i - 1] = a
+                want.append((changed.tolist(), k, i))
+    assert seen == want
 
 
 def test_order_and_mi_bound_scan_once_per_string_and_code(monkeypatch):
