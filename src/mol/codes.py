@@ -46,7 +46,7 @@ def _lg_factorial(m) -> np.ndarray:
     """log2(m!) for m >= 0, read from a table grown on demand by doubling; accepts arrays."""
     global _LG_TABLE
     m = np.asarray(m)
-    if m.min() < 0:  # the table would wrap round
+    if (m < 0).any():  # the table would wrap round
         raise ValueError("log-factorial of a negative number")
     try:
         return _LG_TABLE.take(m)
@@ -120,7 +120,8 @@ def ppm_log_measure_closed(x: Sequence, k: int) -> float:
     """-log2 PPM_k via the factorial product over contexts, in log-Gamma form.
 
     Only the orders k <= n-2 admit the closed form; must match
-    ppm_log_measure to 1e-9 wherever both are defined.
+    ppm_log_measure to 1e-9 wherever both are defined. log2 m! comes from a process-wide
+    table grown to the largest count asked; a first count of 10^6 costs about 0.2 s and 8 MB.
     """
     n = len(x)
     if k < 0 or k > n - 2:

@@ -79,19 +79,19 @@ def naive_h_counts(x: Sequence, k: int) -> tuple[Counter, Counter]:
     return tuple(Counter(tuple(ids[i : i + j]) for i in range(len(ids) - k)) for j in (k, k + 1))
 
 
-def naive_h_position_form(x: Sequence, k: int, counts=None) -> float:
+def naive_h_position_form(x: Sequence, k: int, counts: tuple[Counter, Counter]) -> float:
     ids = x.ids.tolist()
     n = len(ids)
-    ctx, ext = counts or naive_h_counts(x, k)
+    ctx, ext = counts
     total = 0.0
     for i in range(k, n):
         total += math.log2(ctx[tuple(ids[i - k : i])] / ext[tuple(ids[i - k : i + 1])])
     return total / (n - k)
 
 
-def naive_h_vocab_form(x: Sequence, k: int, counts=None) -> float:
+def naive_h_vocab_form(x: Sequence, k: int, counts: tuple[Counter, Counter]) -> float:
     n = len(x)
-    ctx, ext = counts or naive_h_counts(x, k)
+    ctx, ext = counts
     return math.fsum(
         c / (n - k) * math.log2(ctx[w[:-1]] / c) for w, c in ext.items()
     )
@@ -246,7 +246,7 @@ def suite_h_forms(ws: Workspace):
     for x in ws.random():
         idx = build_index(x)
         for k in range(min(3, len(x) - 1) + 1):
-            pos = naive_h_position_form(x, k)
+            pos = naive_h_position_form(x, k, naive_h_counts(x, k))
             ok = abs(idx.cond_entropy(k) - pos) <= FORM_TOL
             yield ok, lambda: f"h_{k}(random n={len(x)}) mismatch"
 
@@ -498,9 +498,10 @@ def suite_ppm_identities(ws: Workspace):
         D = int(rng.integers(2, ws.budget.random_max_alphabet + 1))
         n = int(rng.integers(2, 40))
         x = Sequence(rng.integers(0, D, size=n), alphas[D])
-        cases.append((x, n, D, [(k, int(rng.integers(1, n + 1))) for k in (0, 1, 2, 5, 8)]))
-    ppm_pass([case[0] for case in cases])  # L and the PPM code lengths of all 60, in one pass
-    for x, n, D, draws in cases:
+        cases.append((x, [(k, int(rng.integers(1, n + 1))) for k in (0, 1, 2, 5, 8)]))
+    ppm_pass([x for x, _ in cases])  # L and the PPM code lengths of all 60, in one pass
+    for x, draws in cases:
+        n, D = len(x), x.alphabet.size
         for k, i in draws:
             total = 0.0
             for a in range(D):

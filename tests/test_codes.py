@@ -176,6 +176,7 @@ def test_lg_factorial_table_grows_on_demand_with_the_lgamma_values(monkeypatch):
     for bad in (-1, np.array([3, -2]), -2001):
         with pytest.raises(ValueError):
             _lg_factorial(bad)
+    assert _lg_factorial(np.array([], dtype=np.int64)).size == 0
 
 
 def _zeta2_tail_bounds(m: int):

@@ -188,7 +188,7 @@ def test_mi_and_identity_suites_fill_their_strings_by_one_pass_per_batch(monkeyp
     assert len(calls) <= 2 + visited + 1
 
 
-def test_naive_forms_on_shared_counts_equal_the_forms_alone():
+def test_naive_forms_build_no_index():
     rng = np.random.default_rng(7)
     strings = [x for n in range(1, 9) for x in all_strings(2, n)]
     strings += [Sequence(rng.integers(0, D, size=n), uniform_alphabet(D))
@@ -196,10 +196,9 @@ def test_naive_forms_on_shared_counts_equal_the_forms_alone():
     for x in strings:
         for k in range(len(x)):
             counts = naive_h_counts(x, k)
-            pos, voc = naive_h_position_form(x, k, counts), naive_h_vocab_form(x, k, counts)
-            assert pos.hex() == naive_h_position_form(x, k).hex()
-            assert voc.hex() == naive_h_vocab_form(x, k).hex()
-        assert x._index is None  # the oracles build no FrequencyIndex
+            naive_h_position_form(x, k, counts)
+            naive_h_vocab_form(x, k, counts)
+        assert x._index is None  # the oracles stay independent of FrequencyIndex
 
 
 def test_identity_suite_draws_its_cases_in_the_order_of_one_loop(monkeypatch):
