@@ -341,6 +341,28 @@ def _dense_rank(key: np.ndarray, size: int, order=None):
     return counts, None
 
 
+def _gram_step(prev: np.ndarray, x: np.ndarray, D: int, length: int, known: int):
+    """The ids, in place of their keys (id of the gram one shorter, next symbol),
+    and the counts of the grams of this length in x, a string or a block's rows."""
+    m = x.shape[-1] - length + 1
+    key = np.multiply(prev[..., :m], D, dtype=np.int64)
+    key += x[..., length - 1 : length - 1 + m]
+    return key, _dense_rank(key.ravel(), known * D)[0]
+
+
+def _h_sums(cnt_k: np.ndarray, cnt_k1: np.ndarray, ids_k: np.ndarray, ids_k1: np.ndarray):
+    """sum log2 cnt_k[ids_k] - log2 cnt_k1[ids_k1] along the last axis, a count
+    below 1 read as 1: (n - k) h_k of a string, or of each row of a block."""
+    log_k = np.log2(np.maximum(cnt_k, 1))
+    log_k1 = np.log2(np.maximum(cnt_k1, 1))
+    terms = np.empty(ids_k.shape)
+    for at in _slices(len(terms)):  # positions of a string, rows of a block
+        t = terms[at]
+        log_k.take(ids_k[at], out=t, mode="clip")  # "raise" would buffer t
+        t -= log_k1.take(ids_k1[at])
+    return np.add.reduce(terms, -1)  # terms.sum(-1), less its wrapper's cost per call
+
+
 def _suffix_array(x: np.ndarray, D: int) -> np.ndarray:
     """The suffix array of x by prefix doubling, O(n log n).
 
@@ -403,7 +425,7 @@ def _ppm_pass(indexes: list) -> None:
     indexes = [idx for idx in indexes if idx._maxrep is None and idx.n > 0]
     if not indexes:
         return
-    n, D = (np.array(v) for v in zip(*[(i.n, i.seq.alphabet.size) for i in indexes]))
+    n, D = (np.array(v) for v in zip(*[(i.n, i.D) for i in indexes]))
     end = np.cumsum(n + 1) - 1  # the -1 after each string, or the end of x
     x = indexes[0]._x if n.size == 1 else np.concatenate([p for i in indexes for p in (i._x, _END)])
     sa = _suffix_array(x, int(D.max()))
@@ -585,7 +607,7 @@ class FrequencyIndex:
     """
 
     def __init__(self, seq: Sequence):
-        self.seq = seq
+        self.D = seq.alphabet.size  # not seq itself: it holds the index
         self.n = len(seq)
         self._x = seq.ids
         # gram length 0: one id for every start, a read-only view of a single zero
@@ -633,13 +655,8 @@ class FrequencyIndex:
                 del store[length]
 
     def _refine(self, prev: np.ndarray, length: int):
-        """Ids and counts of the grams of this length, held as _narrow(n + 1);
-        the key (id of the shorter gram, next symbol) is ranked in 64 bits."""
-        m = self.n - length + 1
-        D = self.seq.alphabet.size
-        key = np.multiply(prev[:m], D, dtype=np.int64)
-        key += self._x[length - 1 : length - 1 + m]
-        counts = _dense_rank(key, self._gcounts[length - 1].size * D)[0]
+        """Ids and counts of the grams of this length, held as _narrow(n + 1)."""
+        key, counts = _gram_step(prev, self._x, self.D, length, self._gcounts[length - 1].size)
         narrow = _narrow(self.n + 1)
         return key.astype(narrow), counts.astype(narrow)
 
@@ -731,14 +748,7 @@ class FrequencyIndex:
         else:
             cnt_k, cnt_k1 = np.bincount(ids_k), np.bincount(ids_k1)
         # ids absent from the window count 0 and are never gathered
-        log_k = np.log2(np.maximum(cnt_k, 1))
-        log_k1 = np.log2(np.maximum(cnt_k1, 1))
-        terms = np.empty(m)
-        for at in _slices(m):
-            t = terms[at]
-            log_k.take(ids_k[at], out=t, mode="clip")  # "raise" would buffer t
-            t -= log_k1.take(ids_k1[at])
-        return float(terms.sum()) / m
+        return float(_h_sums(cnt_k, cnt_k1, ids_k, ids_k1)) / m
 
     def cond_entropy(self, k: int) -> float:
         """Empirical conditional entropy h_k(x_1^n) in bits, for 0 <= k < n.
@@ -767,6 +777,34 @@ def ppm_pass(seqs: list) -> None:
     one pass over them all, L with the PPM table that ends at it; each gets the
     values it would get alone."""
     _ppm_pass(list(dict.fromkeys(build_index(x) for x in seqs)))
+
+
+def gram_pass(seqs) -> None:
+    """Fill every |V_l| and h_k, and the gram ids and counts up to _KEEP_LEN,
+    of the indexes of strings of one length n as each would reach them alone,
+    by one ranking per gram length over the rows of their (N, n) block. Row
+    r's empty word has id r, so rows share no id; a row's ids less its first are its own."""
+    indexes = list(dict.fromkeys(build_index(x) for x in seqs))
+    x = np.stack([i._x for i in indexes])
+    N, n = x.shape
+    D, narrow = max(i.D for i in indexes), _narrow(n + 1)  # a larger D keeps each row's key order
+    ids, counts = np.broadcast_to(np.arange(N)[:, None], (N, n + 1)), np.full(N, n + 1)
+    vocab, h, repeats = np.ones((n + 1, N), dtype=np.int64), np.empty((n, N)), np.zeros(N, dtype=np.int64)
+    for length in range(1, n + 1):
+        m = n - length + 1
+        key, cnt = _gram_step(ids, x, D, length, counts.size)
+        counts[ids[:, m]] -= 1  # the final (length - 1)-gram has no successor
+        h[length - 1] = _h_sums(counts, cnt, ids[:, :m], key) / m
+        ids, counts = key, cnt
+        first = ids.min(axis=1)
+        vocab[length] = ids.max(axis=1) - first + 1
+        repeats += counts[ids[:, -1]] > 1  # so do the final grams shorter than a repeating one
+        if length <= FrequencyIndex._KEEP_LEN:
+            own, cut = counts.astype(narrow), np.cumsum(vocab[length]).tolist()
+            for idx, row, a, b in zip(indexes, (ids - first[:, None]).astype(narrow), first.tolist(), cut):
+                idx._gids[length], idx._gcounts[length] = row, own[a:b]
+    for idx, v, hk, r in zip(indexes, vocab.T.tolist(), h.T.tolist(), repeats.tolist()):
+        idx._vocab, idx._h_cache, idx._final_repeats = tuple(v), dict(enumerate(hk)), r
 
 
 def build_index(x: Sequence) -> FrequencyIndex:

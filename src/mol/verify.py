@@ -31,7 +31,7 @@ from .mi import SplitPreconditionError, mi_bound_rhs
 from .orders import kt_order, universal_markov_order
 from .sequence import Sequence, uniform_alphabet
 from .sources import make_markov
-from .stats import build_index, ppm_pass
+from .stats import build_index, gram_pass, ppm_pass
 
 EPS = 1e-9
 FORM_TOL = 1e-12
@@ -133,6 +133,8 @@ class Workspace:
             self.of_length(top)  # the longest first: past the guard, no string is built
             self._exhaustive = [x for n in range(1, top + 1) for x in self.of_length(n).values()]
             ppm_pass(self._exhaustive)  # L and the PPM code lengths of all, in one pass
+            for n in range(1, top + 1):
+                gram_pass(self.of_length(n).values())  # |V_l|, h_k and short gram ids, per length
         return self._exhaustive
 
     def piece(self, x: Sequence, start: int, stop: int) -> Sequence | None:

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -360,6 +362,83 @@ def test_ppm_pass_over_a_batch_gives_each_string_its_own_values(batch):
         assert bits.size == max(min(idx.max_repetition(), len(ids) - 2) + 1, 0)
         for k, b in enumerate(bits.tolist()):
             assert b == pytest.approx(ppm_log_measure_closed(x, k), abs=1e-9)
+
+
+@st.composite
+def _equal_length_batch(draw):
+    """Strings of one length over alphabet sizes of 2, 3, 4 or 256: random,
+    constant and periodic rows, then a row twice as two strings and one
+    string twice."""
+    n = draw(st.integers(1, 40))
+    got = []
+    for _ in range(draw(st.integers(0, 6))):
+        D = draw(st.sampled_from([2, 3, 4, 256]))
+        kind = draw(st.sampled_from(["random", "constant", "periodic"]))
+        if kind == "random":
+            ids = draw(st.lists(st.integers(0, D - 1), min_size=n, max_size=n))
+        elif kind == "constant":
+            ids = [draw(st.integers(0, D - 1))] * n
+        else:
+            ids = (draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=5)) * n)[:n]
+        got.append(seq(ids, D))
+    same = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    got += [seq(same, 3), seq(same, 3)]
+    return got + [got[-1]]
+
+
+def _assert_gram_pass_state(seqs):
+    # the pass leaves each index in the state a lazy index reaches: its reads
+    # up to _KEEP_LEN and of |V_l| and h_k refine nothing, and equal a fresh index's
+    stats.gram_pass(seqs)
+    keep = stats.FrequencyIndex._KEEP_LEN
+    for x in seqs:
+        idx, alone, n = build_index(x), stats.FrequencyIndex(seq(x.ids, x.alphabet.size)), len(x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats.FrequencyIndex, "_refine", lambda *a: pytest.fail("refined"))
+            got = [(idx.gram_ids(l), idx.gram_counts(l)) for l in range(min(n, keep) + 1)]
+            vocab = [idx.vocab_size(l) for l in range(n + 2)]
+            prefix = [idx.prefix_vocab_size(k) for k in range(n)]
+            h = [idx.cond_entropy(k).hex() for k in range(n)]
+        for l, (ids, counts) in enumerate(got):
+            for a, b in ((ids, alone.gram_ids(l)), (counts, alone.gram_counts(l))):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert vocab == [alone.vocab_size(l) for l in range(n + 2)]
+        assert prefix == [alone.prefix_vocab_size(k) for k in range(n)]
+        assert h == [alone.cond_entropy(k).hex() for k in range(n)]
+        for l in range(keep + 1, n + 1):
+            assert np.array_equal(idx.gram_ids(l), stats.FrequencyIndex(x).gram_ids(l))
+
+
+@given(_equal_length_batch())
+def test_gram_pass_over_a_batch_gives_each_string_its_own_state(batch):
+    _assert_gram_pass_state(batch)
+
+
+@pytest.mark.parametrize("D, top", [(2, 10), (3, 6), (4, 5)])
+def test_gram_pass_over_every_short_string_gives_each_its_own_state(D, top):
+    for n in range(1, top + 1):
+        _assert_gram_pass_state(list(all_strings(D, n)))
+
+
+def test_a_sequence_and_its_index_go_with_the_last_reference():
+    # the index keeps D and the ids, not the sequence that holds it, so the
+    # two form no cycle for the collector to find
+    def indexes():
+        return sum(isinstance(o, stats.FrequencyIndex) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = indexes()
+        x = seq(np.random.default_rng(2).integers(0, 3, 200), 3)
+        idx = build_index(x)
+        idx.ppm_code_lengths()
+        idx.cond_entropy(2)
+        gone = weakref.ref(idx)
+        del x, idx
+        assert gone() is None and indexes() == before
+    finally:
+        gc.enable()
 
 
 def test_profile_refines_each_gram_length_once(monkeypatch):

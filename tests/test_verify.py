@@ -150,19 +150,22 @@ def test_pieces_outside_the_universe_resolve_to_none():
     assert ws.piece(ternary, 3, 4) is None
 
 
-def test_h_suites_query_no_proper_window_on_the_universe(monkeypatch):
-    windows = []
-    query = FrequencyIndex.window_cond_entropy
-
-    def spy(self, k, start, stop):
-        windows.append((start, stop, self.n))
-        return query(self, k, start, stop)
-
-    monkeypatch.setattr(FrequencyIndex, "window_cond_entropy", spy)
-    results = run_suites(["h-step-drop", "h-superadditivity", "h-series-bound"], UNIVERSE_ONLY)
+def test_h_suites_on_the_universe_refine_nothing_and_query_no_window(monkeypatch):
+    # the gram pass of exhaustive() leaves every h_k and |V_l| of the universe
+    # on its indexes, and every piece the h suites read is a universe string
+    ws = Workspace(UNIVERSE_ONLY)
+    ws.exhaustive()
+    calls = []
+    refine, query = FrequencyIndex._refine, FrequencyIndex.window_cond_entropy
+    monkeypatch.setattr(FrequencyIndex, "_refine",
+                        lambda self, prev, length: calls.append(length) or refine(self, prev, length))
+    monkeypatch.setattr(FrequencyIndex, "window_cond_entropy",
+                        lambda self, *a: calls.append(a) or query(self, *a))
+    names = ["h-forms", "h-step-drop", "h-prefix-drop", "h-superadditivity",
+             "weighted-monotone", "h-series-bound"]
+    results = [mol.verify.SUITES[name](ws) for name in names]
     assert all(r.passed and r.cases for r in results)
-    assert windows
-    assert [w for w in windows if w[:2] != (0, w[2])] == []
+    assert calls == []
 
 
 def test_universe_and_random_strings_take_one_ppm_pass_each(monkeypatch):
