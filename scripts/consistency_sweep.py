@@ -1,36 +1,26 @@
 #!/usr/bin/env python3
-"""Sweep the three reference sources through the consistency experiment.
+"""Sweep the three reference sources through `mol simulate`.
 
-Writes one JSON report and one CSV summary per source. At the full scale
-(--trials 100 --n 1000,10000,100000) this reproduces the Monte Carlo
-acceptance numbers; the defaults finish in about a minute.
+Runs `mol simulate` once per source and writes its JSON report and CSV
+summary per source. At the full scale (--trials 100 --n 1000,10000,100000)
+this reproduces the Monte Carlo acceptance numbers; the defaults finish in
+about a minute. Exits with the first nonzero `mol` exit code.
 
 Usage:
     python scripts/consistency_sweep.py --out-dir results --trials 20
 """
 
-from __future__ import annotations
-
 import argparse
+import json
 from pathlib import Path
 
-from mol import (
-    ExperimentConfig,
-    consistency_experiment,
-    experiment_summary_rows,
-    fair_coin,
-    make_markov,
-    sticky_chain,
-)
-from mol.cli import _csv_table, _dump_json
+from mol.cli import main as mol_main
 
-
-def reference_sources():
-    return [
-        fair_coin(),
-        sticky_chain(0.9),
-        make_markov(2, 2, seed=11, concentration=1.0, label="random-order2"),
-    ]
+SOURCES = [
+    ("fair-coin", ["--order", "0", "--d", "2"]),
+    ("sticky-0.9", ["--order", "1", "--sticky", "0.9"]),
+    ("random-order2", ["--order", "2", "--d", "2", "--source-seed", "11"]),
+]
 
 
 def main() -> int:
@@ -44,27 +34,19 @@ def main() -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lengths = tuple(int(part) for part in args.n.split(",") if part)
-
-    for src in reference_sources():
-        config = ExperimentConfig(
-            lengths=lengths,
-            trials=args.trials,
-            seed=args.seed,
-            backends=("ppm", "lz78"),
-            estimators=("universal", "kt"),
-            ppm_exact=True,
-            jobs=args.jobs,
-        )
-        report = consistency_experiment(src, config)
-        name = (src.label or "source").replace(".", "_")
-        (out_dir / f"{name}.json").write_text(_dump_json(report), encoding="utf-8")
-        header = ["n", "backend", "hit_rate", "mean_M", "mean_K", "h_at_M", "h_P"]
-        lines = _csv_table(header, experiment_summary_rows(report))
-        (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for label, flags in SOURCES:
+        base = out_dir / label.replace(".", "_")  # the file names of earlier sweeps
+        code = mol_main([
+            "simulate", *flags, "--backends", "ppm,lz78", "--estimators", "universal,kt",
+            "--ppm-exact", f"--n={args.n}", f"--trials={args.trials}",
+            f"--seed={args.seed}", f"--jobs={args.jobs}", "--out", str(base),
+        ])
+        if code:
+            return code
+        report = json.loads(Path(f"{base}.json").read_text(encoding="utf-8"))
         final = [r for r in report["runs"] if r["backend"] == "ppm"][-1]
         print(
-            f"{src.label}: true order {src.order}, "
+            f"{label}: true order {report['true_order']}, "
             f"hit rate at n={final['n']}: {final['hit_rate']:.2f}"
         )
     return 0

@@ -336,9 +336,9 @@ def _cmd_simulate(args) -> int:
     ) + "\n"
     json_text = _dump_json(report)
     if args.out:
-        base = Path(args.out)
-        base.with_suffix(".json").write_text(json_text, encoding="utf-8")
-        base.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
+        # appended, not with_suffix: a dot in the name (sticky-0.9) is no suffix
+        Path(args.out + ".json").write_text(json_text, encoding="utf-8")
+        Path(args.out + ".csv").write_text(csv_text, encoding="utf-8")
     elif args.format == "csv":
         sys.stdout.write(csv_text)
     else:

@@ -101,49 +101,6 @@ def mi_profile(x: Sequence, blocks, code: PpmCode) -> list[MiReport]:
     return out
 
 
-def expected_mi_check(source, n: int, trials: int, seed: int,
-                      code: PpmCode | None = None) -> dict:
-    """Monte Carlo comparison of E I(X_1^n ; X_{n+1}^{2n}) with its bound.
-
-    The bound in expectation is
-    2 E[ D |V_M(X_1^{2n})| + 4n log2 D / H(X_1^{2n}) + 4 log2(pi^2/6) + 6 ]
-    log2(2 e^2 n). Both sides are reported with standard errors; the indicator
-    asks whether the LHS estimate is below the RHS estimate plus twice the
-    combined standard error, never as a hard assertion.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    code = code or PpmCode(exact=True)
-    D = source.alphabet_size
-    log_d = math.log2(D)
-    lhs_samples = []
-    rhs_samples = []
-    for t in range(trials):
-        x = source.sample(2 * n, seed=np.random.SeedSequence((seed, t)))
-        lhs_samples.append(pointwise_mi(x, n, code))
-        report = universal_markov_order(x, code)
-        vocab = report.profile.vocab[report.estimate]
-        rhs_samples.append(
-            D * vocab + 4.0 * n * log_d / report.H_bits + 4.0 * LOG2_PI2_OVER_6 + 6.0
-        )
-    mult = 2.0 * (math.log2(2.0 * n) + 2.0 * LOG2E)  # 2 log2(2 e^2 n)
-    lhs = float(np.mean(lhs_samples))
-    lhs_se = float(np.std(lhs_samples, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    rhs = mult * float(np.mean(rhs_samples))
-    rhs_se = mult * (float(np.std(rhs_samples, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0)
-    combined_se = math.hypot(lhs_se, rhs_se)
-    return {
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "mi_mean": lhs,
-        "mi_se": lhs_se,
-        "bound_mean": rhs,
-        "bound_se": rhs_se,
-        "holds": lhs <= rhs + 2.0 * combined_se,
-    }
-
-
 def log2_plus(value: float) -> float:
     """log2(x + 1) for x >= 0 and 0 for x < 0."""
     return math.log2(value + 1.0) if value >= 0 else 0.0

@@ -49,6 +49,15 @@ class RamTestResult:
     reject: bool
 
 
+def _least_order(over_budget) -> int:
+    """The first k = 0, 1, ... not over budget. A positive budget stops it past the
+    maximal repetition, where h_k = 0; at k = n, cond_entropy raises ValueError."""
+    k = 0
+    while over_budget(k):
+        k += 1
+    return k
+
+
 def universal_markov_order(x: Sequence, code: CodeLengthFunction) -> OrderReport:
     """Least k with (n-k) h_k(x) <= H(x); scans upward using monotonicity.
 
@@ -63,11 +72,7 @@ def universal_markov_order(x: Sequence, code: CodeLengthFunction) -> OrderReport
         return got[1]
     n = len(x)
     H = float(code.evaluate(x))
-    k = 0
-    while n and (n - k) * idx.cond_entropy(k) > H:
-        k += 1
-        if k >= n:
-            raise AssertionError("order scan ran past every defined entropy")
+    k = _least_order(lambda k: (n - k) * idx.cond_entropy(k) > H) if n else 0
     # the reports of one string that stop at one order share its profile
     profile = next((r.profile for _, r in idx.orders.values() if r.estimate == k), None)
     if profile is None:
@@ -100,12 +105,7 @@ def mgz_order(x: Sequence, lam: float) -> int:
         return 0
     threshold = lz78_code_length(x) / n + lam
     idx = build_index(x)
-    k = 0
-    while idx.cond_entropy(k) > threshold:
-        k += 1
-        if k >= n:
-            raise AssertionError("order scan ran past every defined entropy")
-    return k
+    return _least_order(lambda k: idx.cond_entropy(k) > threshold)
 
 
 def ram_test(x: Sequence, M: int, alpha: float, code: CodeLengthFunction) -> RamTestResult:

@@ -7,7 +7,7 @@ PUBLIC = {
     "HilbergEstimate", "Lz78Code", "MiReport", "OffsetCode", "OrderReport", "PpmCode",
     "RamTestResult", "Sequence", "SourceError", "SourceModel", "SplitPreconditionError",
     "SuiteResult", "UniformCode", "VerifyBudget", "build_index", "consistency_experiment",
-    "expected_mi_check", "experiment_summary_rows", "fair_coin", "hilberg_estimate", "ingest",
+    "experiment_summary_rows", "fair_coin", "hilberg_estimate", "ingest",
     "kraft_sum", "kt_order", "lz78_code_length", "lz78_entropy", "make_code", "make_iid",
     "make_markov", "mgz_order", "mi_bound_rhs", "mi_profile", "mi_report", "pointwise_mi",
     "ppm_bound_gap", "ppm_cond", "ppm_gap_lower", "ppm_gap_upper", "ppm_log_measure",

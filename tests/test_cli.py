@@ -8,6 +8,7 @@ import pytest
 
 import mol.cli
 import mol.sources
+from mol import ingest, make_code, mi_report
 from mol.cli import main
 from mol.codes import CodeLengthFunction
 from mol.verify import VerifyBudget, Workspace, suite_kraft
@@ -226,6 +227,23 @@ def test_profile_with_blocks_emits_mi_table(capsys, tmp_path):
     assert len(payload["entropy_profile"]) == 4
 
 
+def test_profile_mi_rows_equal_mi_report(capsys, tmp_path):
+    data = b"abcabd" * 6
+    path = tmp_path / "p.bin"
+    path.write_bytes(data)
+    code, out, _ = run_cli(capsys, "profile", "--blocks", "4,8,16", "--format", "json", str(path))
+    assert code == 0
+    rows = json.loads(out)["mi_profile"]
+    x = ingest(data)
+    want = []
+    for n in (4, 8, 16):
+        rep = mi_report(x.slice(1, 2 * n), n, make_code("ppm"))
+        want.append({"n": n, "m": 2 * n, "I_bits": rep.I_bits, "order_M": rep.order,
+                     "vocab_M": rep.vocab, "bound_rhs": rep.bound_rhs, "bound_ok": rep.bound_ok})
+    assert rows == want
+    assert [r["order_M"] for r in rows] == [0, 0, 1]
+
+
 def test_simulate_deterministic_across_jobs(tmp_path):
     args = [
         "simulate", "--order", "1", "--sticky", "0.9", "--n", "200,400",
@@ -243,6 +261,20 @@ def test_simulate_deterministic_across_jobs(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
     header = outputs[0][1].decode().splitlines()
     assert header[2] == "n,backend,hit_rate,mean_M,mean_K,h_at_M,h_P"
+
+
+def test_simulate_out_appends_the_extensions_to_a_dotted_base(tmp_path):
+    for p in ("0.9", "0.8"):
+        code = main(["simulate", "--order", "1", "--sticky", p, "--n", "50", "--trials", "1",
+                     "--out", str(tmp_path / f"sticky-{p}")])
+        assert code == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "sticky-0.8.csv", "sticky-0.8.json", "sticky-0.9.csv", "sticky-0.9.json"
+    ]
+    for p in ("0.9", "0.8"):
+        report = json.loads((tmp_path / f"sticky-{p}.json").read_text())
+        assert report["meta"]["source"]["label"] == f"sticky-{p}"
+        assert (tmp_path / f"sticky-{p}.csv").read_text().splitlines()[2].startswith("n,backend")
 
 
 def test_simulate_stdout_csv(capsys):

@@ -8,10 +8,8 @@ from mol import (
     SplitPreconditionError,
     UniformCode,
     build_index,
-    expected_mi_check,
     hilberg_estimate,
     ingest,
-    make_iid,
     mi_bound_rhs,
     mi_profile,
     mi_report,
@@ -109,31 +107,6 @@ def test_mi_profile_block_too_large():
     x = ingest(b"abcd")
     with pytest.raises(ValueError):
         mi_profile(x, [3], PPM)
-
-
-# -- expectation bound ---------------------------------------------------------
-
-
-def test_expected_mi_check_fair_coin():
-    from mol import fair_coin
-
-    out = expected_mi_check(fair_coin(), 64, 50, seed=3)
-    assert out["holds"]
-    assert out["mi_se"] >= 0 and out["bound_se"] >= 0
-    again = expected_mi_check(fair_coin(), 64, 50, seed=3)
-    assert again == out  # deterministic given the seed
-
-
-def test_expected_mi_check_constant_source():
-    constant = make_iid([1.0, 0.0], label="constant")
-    out = expected_mi_check(constant, 32, 3, seed=1)
-    assert out["holds"]
-    assert out["mi_se"] == 0.0  # degenerate source, identical trials
-
-
-def test_expected_mi_check_sticky_chain():
-    out = expected_mi_check(sticky_chain(0.9), 128, 30, seed=9)
-    assert out["holds"]
 
 
 # -- Hilberg exponent ------------------------------------------------------------

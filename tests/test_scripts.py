@@ -29,9 +29,37 @@ def test_consistency_sweep_writes_a_report_and_a_summary_per_source(tmp_path):
         report = json.loads((tmp_path / f"{name}.json").read_text())
         assert [(r["n"], r["backend"]) for r in report["runs"]] == [(100, "ppm"), (100, "lz78")]
         rows = (tmp_path / f"{name}.csv").read_text().splitlines()
-        assert rows[0] == "n,backend,hit_rate,mean_M,mean_K,h_at_M,h_P"
-        assert [row.split(",")[:2] for row in rows[1:]] == [["100", "ppm"], ["100", "lz78"]]
+        assert rows[0].startswith("# tool=mol") and rows[1].startswith("# seed=")
+        assert rows[2] == "n,backend,hit_rate,mean_M,mean_K,h_at_M,h_P"
+        assert [row.split(",")[:2] for row in rows[3:]] == [["100", "ppm"], ["100", "lz78"]]
     assert len(proc.stdout.splitlines()) == 3
+
+
+def test_consistency_sweep_runs_the_reference_sources(tmp_path):
+    proc = run_script("consistency_sweep.py", "--n", "40,80", "--trials", "2", "--jobs", "1",
+                      "--seed", "5", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    config = mol.ExperimentConfig(lengths=(40, 80), trials=2, seed=5, backends=("ppm", "lz78"),
+                                  estimators=("universal", "kt"), ppm_exact=True, jobs=1)
+    sources = {"fair-coin": mol.fair_coin(), "sticky-0_9": mol.sticky_chain(0.9),
+               "random-order2": mol.make_markov(2, 2, seed=11)}
+    keys = ("runs", "true_order", "entropy_rate_bits", "cond_entropy_bits")
+    for name, src in sources.items():
+        got = json.loads((tmp_path / f"{name}.json").read_text())
+        want = json.loads(json.dumps(mol.consistency_experiment(src, config)))
+        assert {k: got[k] for k in keys} == {k: want[k] for k in keys}
+        assert got["meta"]["config"] == want["meta"]["config"]
+
+
+def test_consistency_sweep_bad_values_exit_3(tmp_path):
+    for flag in ("--trials", "--n", "--jobs"):
+        proc = run_script("consistency_sweep.py", "--n", "40", "--trials", "1", "--jobs", "1",
+                          flag, "0", "--out-dir", str(tmp_path))
+        assert proc.returncode == 3, (flag, proc.stderr)
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("mol: invalid config:")
 
 
 def test_hilberg_profile_prints_the_profile_and_both_fits():
