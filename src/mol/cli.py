@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for randomly generated transition tables")
     p.add_argument("--concentration", type=float, default=1.0)
     p.add_argument("--n", default="1000", help="comma list of sequence lengths")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_int_at_least(1), default=20)
     p.add_argument("--backends", default="ppm")
     p.add_argument("--estimators", default="universal")
     p.add_argument("--mgz", type=float, default=None, metavar="LAMBDA")

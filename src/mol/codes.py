@@ -305,15 +305,6 @@ class Lz78Code(CodeLengthFunction):
         return lz78_code_length(x)
 
 
-class UniformCode(CodeLengthFunction):
-    """H(x) = n log2 D; its Kraft sum per length is exactly one."""
-
-    name = "uniform"
-
-    def evaluate(self, x: Sequence) -> float:
-        return len(x) * math.log2(x.alphabet.size)
-
-
 class OffsetCode(CodeLengthFunction):
     """A backend shifted by a constant, H(x) + c; used for monotonicity checks."""
 

@@ -250,9 +250,9 @@ def _lcp_intervals(lcp: np.ndarray):
 
     The equal runs of [0, lcp[1:], 0] become elements, and _peel closes them in
     rounds. Each round's valleys are local minima of the last round's, so there
-    are at most log2 n + 1 rounds. The intervals come out in the post-order of a
-    bottom-up stack walk (by right end, inner before outer). A caller that
-    passes its only reference to lcp lets it go before the first round.
+    are at most log2 n + 1 rounds. The intervals are those of a bottom-up
+    stack walk, in the order the rounds close them. A caller that passes its
+    only reference to lcp lets it go before the first round.
     """
     n = int(lcp.size)
     narrow = _narrow(n + 1)
@@ -276,22 +276,11 @@ def _lcp_intervals(lcp: np.ndarray):
             part.extend(piece[c] for piece in got)
         del got
     del val, pl, pr
-
-    def column(c):
-        col = np.concatenate(parts[c])
-        parts[c].clear()
-        return col
-
-    value, rb = column(0), column(3)
-    order = rb.astype(np.int64)
-    order *= n + 1
-    order += n
-    order -= value
-    order = order.argsort()
-    value, rb = value[order], rb[order]
-    parent = column(1)[order]
-    lb = column(2)[order]
-    return value, parent, lb, rb
+    columns = []
+    for part in parts:  # each column's pieces go as it is joined
+        columns.append(np.concatenate(part))
+        part.clear()
+    return tuple(columns)
 
 
 def _rank_by_sort(key: np.ndarray, order=None):
@@ -468,8 +457,10 @@ def _ppm_table(n, D, L, lo, columns: list) -> list:
     at level parent + 1 and subtracts at level value + 1, and a running sum
     over the levels gives G_l. The levels go w at a time, about the mean per
     string, in a row of sums per level and a column per string, so no array is
-    as long as L. Within a level of a string the entries add in post-order and
-    then subtract in post-order, one at a time, as np.add.at over its list would.
+    as long as L. Within a level of a string the entries add in the order
+    _lcp_intervals closes them and then subtract in that order, one at a time,
+    as np.add.at over its list would, so a string gets the same bits in any
+    batch; a stack walk's order rounds differently (README "Scale notes").
     """
     value, parent, lb, cnt, tail = columns
     columns.clear()

@@ -12,11 +12,20 @@ from itertools import chain, product
 
 import numpy as np
 
-from mol import Sequence, uniform_alphabet
+from mol import CodeLengthFunction, Sequence, uniform_alphabet
 
 
 def seq(ids, D: int = 2) -> Sequence:
     return Sequence(np.array(list(ids), dtype=np.int64), uniform_alphabet(D))
+
+
+class UniformCode(CodeLengthFunction):
+    """H(x) = n log2 D; its Kraft sum per length is exactly one."""
+
+    name = "uniform"
+
+    def evaluate(self, x: Sequence) -> float:
+        return len(x) * math.log2(x.alphabet.size)
 
 
 def all_strings(D: int, n: int):
@@ -99,8 +108,9 @@ def lcp_intervals_oracle(lcp):
 def ppm_table_oracle(ids, D: int, sa=None, lcp=None) -> np.ndarray:
     """-log2 PPM_k for k = 0..min(L, n-2) from the stack walk's intervals, with
     one np.add.at per level sum over the whole list in the walk's order, in
-    extended precision: the additions, and so the bits, that the PPM table
-    must reproduce. sa and lcp default to the oracles above."""
+    extended precision. The PPM table sums the same intervals in another
+    order, so it must match these values within 1e-9 bits, not bit for bit.
+    sa and lcp default to the oracles above."""
     ids = list(ids)
     n = len(ids)
     sa = suffix_array_oracle(ids) if sa is None else sa

@@ -6,7 +6,7 @@ PUBLIC = {
     "CodeLengthFunction", "EntropyProfile", "ExperimentConfig", "FrequencyIndex",
     "HilbergEstimate", "Lz78Code", "MiReport", "OffsetCode", "OrderReport", "PpmCode",
     "RamTestResult", "Sequence", "SourceError", "SourceModel", "SplitPreconditionError",
-    "SuiteResult", "UniformCode", "VerifyBudget", "build_index", "consistency_experiment",
+    "SuiteResult", "VerifyBudget", "build_index", "consistency_experiment",
     "experiment_summary_rows", "fair_coin", "hilberg_estimate", "ingest",
     "kraft_sum", "kt_order", "lz78_code_length", "lz78_entropy", "make_code", "make_iid",
     "make_markov", "mgz_order", "mi_bound_rhs", "mi_profile", "mi_report", "pointwise_mi",

@@ -11,7 +11,6 @@ from mol import (
     CodeLengthFunction,
     Lz78Code,
     PpmCode,
-    UniformCode,
     build_index,
     ingest,
     kraft_sum,
@@ -34,6 +33,7 @@ import mol.stats
 from mol.codes import _lg_factorial, _zeta2_tail
 
 from oracles import (
+    UniformCode,
     all_strings,
     lz78_oracle,
     ppm_cond_oracle,

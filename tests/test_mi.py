@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from mol import (
     PpmCode,
     SplitPreconditionError,
-    UniformCode,
     build_index,
     hilberg_estimate,
     ingest,
@@ -19,7 +18,7 @@ from mol import (
 )
 from mol.mi import log2_plus
 
-from oracles import all_strings, seq
+from oracles import UniformCode, all_strings, seq
 
 PPM = PpmCode(exact=True)
 binary_ids = st.lists(st.integers(0, 1), min_size=2, max_size=80)

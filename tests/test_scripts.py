@@ -60,6 +60,7 @@ def test_consistency_sweep_bad_values_exit_3(tmp_path):
         assert "Traceback" not in proc.stderr
         (line,) = proc.stderr.splitlines()
         assert line.startswith("mol: invalid config:")
+        assert flag in line
 
 
 def test_hilberg_profile_prints_the_profile_and_both_fits():
