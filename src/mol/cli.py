@@ -76,13 +76,6 @@ def _meta(command: str, seed: int, backend: str, config: dict) -> dict:
     }
 
 
-def _meta_lines(meta: dict) -> list[str]:
-    return [
-        f"# tool={meta['tool']} version={meta['version']} command={meta['command']}",
-        f"# seed={meta['seed']} backend={meta['backend']} config={meta['config_hash']}",
-    ]
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -93,21 +86,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_table(header: list[str], rows: list) -> list[str]:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return lines
+def _csv(meta: dict, tables: list) -> str:
+    """The two metadata lines, then each (header, rows) table, a blank line between tables."""
+    lines = [
+        f"# tool={meta['tool']} version={meta['version']} command={meta['command']}",
+        f"# seed={meta['seed']} backend={meta['backend']} config={meta['config_hash']}",
+    ]
+    for i, (header, rows) in enumerate(tables):
+        if i:
+            lines.append("")
+        lines.append(",".join(header))
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _write(args, meta: dict, payload: dict, tables: list) -> int:
+    """{"meta": meta, **payload} as JSON, or the tables as CSV, to --out FILE or stdout."""
+    text = _dump_json({"meta": meta, **payload}) if args.format == "json" else _csv(meta, tables)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 # -- estimate ----------------------------------------------------------------
@@ -174,23 +178,15 @@ def _cmd_estimate(args) -> int:
     # the hash reads the (M, alpha) tuple of --ram as a JSON list
     config = {"command": "estimate", **options, "files": args.files, "seed": seed,
               "digests": [digest for _, digest in done]}
+    header = ["file", "n", "alphabet_size", "backend", "H_bits", "order",
+              "kt", "mgz", "ram_statistic", "ram_reject"]
+    rows = []
+    for r in results:
+        ram = r.get("ram", {})
+        rows.append((r["file"], r["n"], r["alphabet_size"], r["backend"], r["H_bits"], r["order"],
+                     r.get("kt"), r.get("mgz"), ram.get("statistic"), ram.get("reject")))
     meta = _meta("estimate", seed, args.backend, config)
-
-    if args.format == "json":
-        _emit(_dump_json({"meta": meta, "results": results}), args.out)
-    else:
-        header = ["file", "n", "alphabet_size", "backend", "H_bits", "order",
-                  "kt", "mgz", "ram_statistic", "ram_reject"]
-        rows = []
-        for r in results:
-            ram_res = r.get("ram") or {}
-            rows.append(
-                (r["file"], r["n"], r["alphabet_size"], r["backend"], r["H_bits"],
-                 r["order"], r.get("kt"), r.get("mgz"),
-                 ram_res.get("statistic"), ram_res.get("reject"))
-            )
-        _emit("\n".join(_meta_lines(meta) + _csv_table(header, rows)) + "\n", args.out)
-    return 0
+    return _write(args, meta, {"results": results}, [(header, rows)])
 
 
 def _check_mgz(value: float | None) -> None:
@@ -204,6 +200,8 @@ def _parse_ram(text: str):
         M, alpha = int(m_text), float(alpha_text)
     except ValueError:
         raise ConfigError(f"--ram expects M:alpha, got {text!r}") from None
+    if M < 0:
+        raise ConfigError(f"--ram order M must be >= 0, got {M}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError("--ram significance must lie in (0, 1)")
     return M, alpha
@@ -235,40 +233,19 @@ def _cmd_profile(args) -> int:
         "digest": _digest(data),
         "seed": seed,
     }
-    meta = _meta("profile", seed, "ppm", config)
-    mi_rows = []
+    rows = profile.rows()
+    payload = {"entropy_profile": [{"k": k, "h": h, "weighted": w, "vocab": v}
+                                   for k, h, w, v in rows]}
+    tables = [(["k", "h_bits", "weighted_bits", "vocab"], rows)]
     if blocks:
+        header = ["n", "m", "I_bits", "order_M", "vocab_M", "bound_rhs", "bound_ok"]
         code = make_code("ppm", ppm_exact=args.ppm_exact)
-        for rep in mi_profile(x, blocks, code):
-            mi_rows.append((rep.n, rep.m, rep.I_bits, rep.order, rep.vocab,
-                            rep.bound_rhs, rep.bound_ok))
-
-    if args.format == "json":
-        payload = {
-            "meta": meta,
-            "entropy_profile": [
-                {"k": k, "h": h, "weighted": w, "vocab": v}
-                for k, h, w, v in profile.rows()
-            ],
-        }
-        if blocks:
-            payload["mi_profile"] = [
-                {"n": r[0], "m": r[1], "I_bits": r[2], "order_M": r[3],
-                 "vocab_M": r[4], "bound_rhs": r[5], "bound_ok": r[6]}
-                for r in mi_rows
-            ]
-        _emit(_dump_json(payload), args.out)
-    else:
-        lines = _meta_lines(meta)
-        lines += _csv_table(["k", "h_bits", "weighted_bits", "vocab"], profile.rows())
-        if blocks:
-            lines.append("")
-            lines += _csv_table(
-                ["n", "m", "I_bits", "order_M", "vocab_M", "bound_rhs", "bound_ok"],
-                mi_rows,
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        mi_rows = [(rep.n, rep.m, rep.I_bits, rep.order, rep.vocab, rep.bound_rhs, rep.bound_ok)
+                   for rep in mi_profile(x, blocks, code)]
+        payload["mi_profile"] = [dict(zip(header, row)) for row in mi_rows]
+        tables.append((header, mi_rows))
+    meta = _meta("profile", seed, "ppm", config)
+    return _write(args, meta, payload, tables)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -331,18 +308,14 @@ def _cmd_simulate(args) -> int:
     report["meta"]["command"] = "simulate"
     report["meta"]["config_hash"] = meta["config_hash"]
     header = ["n", "backend", "hit_rate", "mean_M", "mean_K", "h_at_M", "h_P"]
-    csv_text = "\n".join(
-        _meta_lines(meta) + _csv_table(header, experiment_summary_rows(report))
-    ) + "\n"
-    json_text = _dump_json(report)
+    texts = {"json": _dump_json(report),
+             "csv": _csv(meta, [(header, experiment_summary_rows(report))])}
     if args.out:
         # appended, not with_suffix: a dot in the name (sticky-0.9) is no suffix
-        Path(args.out + ".json").write_text(json_text, encoding="utf-8")
-        Path(args.out + ".csv").write_text(csv_text, encoding="utf-8")
-    elif args.format == "csv":
-        sys.stdout.write(csv_text)
+        for fmt, text in texts.items():
+            Path(f"{args.out}.{fmt}").write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(json_text)
+        sys.stdout.write(texts[args.format])
     return 0
 
 

@@ -64,7 +64,10 @@ class Sequence:
     __slots__ = ("ids", "alphabet", "_index", "_hash")
 
     def __init__(self, ids, alphabet: Alphabet):
-        arr = np.ascontiguousarray(ids, dtype=np.int64)
+        arr = np.asarray(ids)
+        if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"symbol ids must be integers, got dtype {arr.dtype}")
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
         if arr.flags.writeable and isinstance(ids, np.ndarray) and np.may_share_memory(arr, ids):
             arr = arr.copy()
         if arr.ndim != 1:
@@ -79,10 +82,6 @@ class Sequence:
 
     def __len__(self) -> int:
         return int(self.ids.size)
-
-    @property
-    def n(self) -> int:
-        return len(self)
 
     def symbol(self, i: int) -> int:
         """Symbol id at 1-based position i."""

@@ -569,10 +569,6 @@ class EntropyProfile:
     weighted: list
     vocab: list
 
-    @property
-    def kmax(self) -> int:
-        return len(self.h) - 1
-
     def entries(self) -> list:
         return [
             {"k": k, "h": self.h[k], "weighted": self.weighted[k]}

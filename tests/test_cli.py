@@ -244,6 +244,49 @@ def test_profile_mi_rows_equal_mi_report(capsys, tmp_path):
     assert [r["order_M"] for r in rows] == [0, 0, 1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--kt", "--ram", "1:0.05"],
+    ["profile", "--kmax", "3", "--blocks", "4,8"],
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_file_holds_the_bytes_printed_to_stdout(capsys, tmp_path, argv, fmt):
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"abracadabra" * 10)
+    code, printed, _ = run_cli(capsys, *argv, "--format", fmt, str(path))
+    assert code == 0 and printed
+    out = tmp_path / "out.txt"
+    code, again, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(out), str(path))
+    assert code == 0 and again == ""
+    assert out.read_bytes() == printed.encode()
+
+
+def test_simulate_stdout_equals_the_files_of_out(capsys, tmp_path):
+    argv = ["simulate", "--order", "1", "--sticky", "0.9", "--n", "60,120", "--trials", "2",
+            "--seed", "4"]
+    code, base, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 0 and base == ""
+    for fmt in ("json", "csv"):
+        code, printed, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert (tmp_path / f"run.{fmt}").read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["profile"], b""),
+    (["simulate", "--n", ","], None),
+    (["profile", "--blocks", "4,x"], b"abab"),
+])
+def test_empty_or_unreadable_values_are_config_errors(capsys, tmp_path, argv, data):
+    if data is not None:
+        path = tmp_path / "input.bin"
+        path.write_bytes(data)
+        argv = [*argv, str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("mol: invalid config:") and err.count("\n") == 1
+
+
 def test_simulate_deterministic_across_jobs(tmp_path):
     args = [
         "simulate", "--order", "1", "--sticky", "0.9", "--n", "200,400",
@@ -360,6 +403,19 @@ def test_estimate_bad_mgz_fails_before_reading_any_file(capsys, monkeypatch, sam
     for path in ("missing.txt", sample_file):
         code, out, err = run_cli(capsys, "estimate", f"--mgz={value}", path)
         assert (code, out, err) == (3, "", want)
+
+
+def test_estimate_negative_ram_order_fails_before_reading_any_file(
+    capsys, monkeypatch, sample_file
+):
+    # a missing file would otherwise exit 2, and a readable one fail after its scan
+    monkeypatch.setattr(mol.cli, "_estimate_file", lambda task: pytest.fail("file read"))
+    for path in ("missing.txt", sample_file):
+        code, out, err = run_cli(capsys, "estimate", "--ram=-1:0.05", path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("mol: invalid config:") and "--ram" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

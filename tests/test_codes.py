@@ -12,12 +12,14 @@ from mol import (
     Lz78Code,
     PpmCode,
     build_index,
+    fair_coin,
     ingest,
     kraft_sum,
     kt_order,
     lz78_code_length,
     lz78_entropy,
     make_code,
+    make_markov,
     ppm_bound_gap,
     ppm_cond,
     ppm_gap_lower,
@@ -147,6 +149,19 @@ def test_repetitive_inputs_cost_no_quadratic_time(period, kt):
         assert ppm_log_measure(short, k) == pytest.approx(
             ppm_log_measure_closed(short, k), abs=1e-9
         )
+
+
+@pytest.mark.parametrize("source", [fair_coin(), sticky_chain(0.9), make_markov(2, 2, seed=11)],
+                         ids=["fair", "sticky", "order2"])
+def test_ppm_table_matches_closed_form_at_1e5_symbols(source):
+    # the range README "Scale notes" states: within 1e-9 bits at 10^5 symbols
+    # (at 10^6 a float64 log2 c! alone rounds by up to 1.9e-9)
+    for seed in (1, 3, 9):
+        x = source.sample(10**5, seed=seed)
+        for k in range(13):
+            assert ppm_log_measure(x, k) == pytest.approx(
+                ppm_log_measure_closed(x, k), abs=1e-9
+            )
 
 
 # -- log-factorial and the zeta(2) tail ----------------------------------------
@@ -396,8 +411,6 @@ def test_make_code_and_test_lengths():
 def test_universality_smoke():
     # H(X_1^n)/n approaches 1 bit on fair-coin samples; the PPM mixture is
     # already inside 0.05 bits at this scale, LZ78 converges like 1/log n
-    from mol import fair_coin
-
     src = fair_coin()
     for trial in range(2):
         x = src.sample(30000, seed=np.random.SeedSequence((99, trial)))

@@ -110,6 +110,16 @@ def test_sequence_rejects_out_of_range_ids():
         Sequence(np.array([0, 2]), uniform_alphabet(2))
 
 
+def test_sequence_rejects_non_integer_ids():
+    # a cast to int64 would truncate 0.7, 1.9, 1.2 to the ids 0, 1, 1
+    alpha = uniform_alphabet(2)
+    with pytest.raises(ValueError, match="integer"):
+        Sequence([0.7, 1.9, 1.2], alpha)
+    with pytest.raises(ValueError, match="integer"):
+        Sequence(np.array([0.0, 1.0, 1.0]), alpha)
+    assert len(Sequence([], alpha)) == 0  # numpy reads [] as float64
+
+
 ids_lists = st.lists(st.integers(0, 3), max_size=40)
 
 
